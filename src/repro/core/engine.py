@@ -4,9 +4,9 @@
 runs Algorithm 1 over the model's tables and the target memory system;
 the resulting engine exposes
 
-* **functional inference** — embedding lookups routed through the planned
-  data structures (merged Cartesian tables read with a *single* gather per
-  product, exactly as the FPGA reads one DRAM row per product) plus the
+* **functional inference** — the whole embedding row read in a *single*
+  stacked gather per call (each merged group's slice of it is the
+  Cartesian product row the FPGA reads in one DRAM access) plus the
   quantised top MLP, producing real CTR predictions; and
 * **timed estimates** — latency/throughput/resource reports from the FPGA
   accelerator model under the same placement.
@@ -21,9 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.allocation import Placement
-from repro.core.cartesian import CartesianTable, MergeGroup
 from repro.core.planner import Plan, PlannerConfig, plan_tables
-from repro.core.tables import EmbeddingTable, make_tables
+from repro.core.tables import EmbeddingTable, VirtualTable, make_tables
 from repro.cpu.baseline import CpuBaselineEngine
 from repro.fpga.accelerator import (
     FpgaAcceleratorModel,
@@ -62,16 +61,13 @@ class MicroRecEngine:
         self.fpga_config = fpga_config
         self.fixed_point = fixed_point
         self._mlp_device = mlp.quantized(fixed_point) if fixed_point else mlp
-        # Functional merged tables: one CartesianTable per merged group.
-        self._merged: dict[int, CartesianTable] = {}
-        self._group_of: dict[int, MergeGroup] = {}
-        for group in plan.placement.groups:
-            for tid in group.member_ids:
-                self._group_of[tid] = group
-            if group.is_merged:
-                ct = CartesianTable(group, [tables[t] for t in group.member_ids])
-                for tid in group.member_ids:
-                    self._merged[tid] = ct
+        # Plain virtual tables (the default) are read as one stacked table.
+        ordered = [tables[t.table_id] for t in model.tables]
+        self._stack = (
+            VirtualTable.stack(ordered)
+            if all(isinstance(t, VirtualTable) for t in ordered)
+            else None
+        )
         self.accelerator = FpgaAcceleratorModel(
             model, plan.placement, plan.timing, fpga_config
         )
@@ -158,46 +154,27 @@ class MicroRecEngine:
         return self.plan.placement
 
     def lookup_embeddings(self, batch: QueryBatch) -> np.ndarray:
-        """Embedding layer through the planned data structures.
+        """Embedding layer: the whole feature row in one stacked gather.
 
-        Tables in the same merged group are fetched with one gather on the
-        Cartesian table (one DRAM access per product on hardware); outputs
-        are re-assembled in the model's table order so the MLP input layout
-        matches the unmerged reference exactly.
+        Every table's indices, merged or not, go into one lookup on the
+        stacked :class:`VirtualTable`, in the model's table order, so the
+        MLP input layout matches the unmerged reference exactly.  A merged
+        group's slice of the row is by construction its Cartesian product
+        row, which the hardware reads in one DRAM access per product.
+        Materialised or compressed tables are gathered one by one.
         """
-        n = batch.batch_size
-        chunks: dict[int, np.ndarray] = {}
-        done: set[int] = set()
-        for t in self.model.tables:
-            tid = t.table_id
-            if tid in done:
-                continue
-            group = self._group_of[tid]
-            if group.is_merged:
-                ct = self._merged[tid]
-                # Stack member indices (merged tables always have
-                # lookups_per_inference == 1 members: planner rule).
-                member_idx = np.stack(
-                    [batch.indices[m][:, 0] for m in group.member_ids], axis=1
-                )
-                merged_rows = ct.merged_index(member_idx)
-                vectors = ct.lookup(merged_rows)  # (n, sum dims)
-                offset = 0
-                for m in group.member_ids:
-                    dim = self.tables[m].spec.dim
-                    chunks[m] = vectors[:, offset : offset + dim]
-                    offset += dim
-                    done.add(m)
-            else:
-                idx = batch.indices[tid]
-                flat = self.tables[tid].lookup(idx.reshape(-1))
-                chunks[tid] = flat.reshape(n, -1)
-                done.add(tid)
-        parts = []
-        if self.model.dense_dim:
-            parts.append(batch.dense)
-        parts.extend(chunks[t.table_id] for t in self.model.tables)
-        return np.concatenate(parts, axis=1)
+        parts = [batch.dense] if self.model.dense_dim else []
+        if self._stack is not None:
+            indices = np.concatenate(
+                [batch.indices[t.table_id] for t in self.model.tables], axis=1
+            )
+            parts.append(self._stack.lookup(indices))
+        else:
+            for t in self.model.tables:
+                idx = batch.indices[t.table_id]
+                flat = self.tables[t.table_id].lookup(idx.reshape(-1))
+                parts.append(flat.reshape(len(idx), -1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def infer(self, batch: QueryBatch) -> np.ndarray:
         """Predict CTR per query through the planned engine."""

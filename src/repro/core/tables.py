@@ -13,11 +13,14 @@ Two executable representations back every :class:`TableSpec`:
   which is exactly what the Cartesian-product equivalence tests need.
 
 Both expose the same ``lookup`` interface and are interchangeable throughout
-the library.
+the library.  :meth:`VirtualTable.stack` joins many virtual tables into
+one that reads a model's whole embedding row per query, hashed in a single
+pass, so an inference call costs one gather however many tables it reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -124,16 +127,44 @@ class MaterializedTable:
         return self.values[indices]
 
 
+#: splitmix64's increment and its two finaliser multipliers.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix_in_place(z: np.ndarray) -> None:
+    """splitmix64's finaliser, applied in place to a uint64 array."""
+    tmp = np.empty_like(z)
+    for shift, mix in ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mix
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+
+
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser: uint64 -> well-mixed uint64."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        z = x
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+    """Vectorised splitmix64: uint64 -> well-mixed uint64."""
+    z = x.astype(np.uint64, copy=True)
+    z += _GOLDEN
+    _mix_in_place(z)
     return z
+
+
+def _uniform_cells(z: np.ndarray) -> np.ndarray:
+    """Hash cell keys into float32 uniforms in ``[-1, 1)``, reusing ``z``.
+
+    ``z`` is a uint64 array of keys that already include splitmix64's
+    increment; it is overwritten.  The top 24 bits of each hash map to
+    ``u * 2**-23 - 1``, which float32 represents exactly.
+    """
+    _mix_in_place(z)
+    z >>= np.uint64(40)
+    out = z.astype(np.float32)
+    out *= np.float32(2.0**-23)
+    out -= np.float32(1.0)
+    return out
 
 
 class VirtualTable:
@@ -142,34 +173,107 @@ class VirtualTable:
     ``values[r, c]`` is a pure function of ``(seed, table_id, r, c)`` mapped
     to a float32 uniform in ``[-1, 1)``.  Rows are generated on demand, so a
     spec with hundreds of millions of rows costs nothing until looked up.
+
+    :meth:`stack` joins virtual tables into one *stacked* table: the
+    virtual Cartesian product of their lookup slots, section 3.3's merge
+    taken to every table at once.  Its row for slot indices
+    ``(i_1, ..., i_k)`` is the slots' vectors side by side, so one lookup
+    reads a whole embedding row per query, hashed in a single pass.
     """
 
     def __init__(self, spec: TableSpec, seed: int = 0):
         self.spec = spec
-        self.seed = seed
         # Fold seed and table id into one 64-bit stream selector.
-        self._stream = np.uint64(
+        stream = np.uint64(
             (np.uint64(seed) << np.uint64(32))
             ^ _splitmix64(np.asarray([spec.table_id], dtype=np.uint64))[0]
         )
+        # Cell (r, c) hashes the key r * dim + c + stream, plus splitmix64's
+        # increment; uint64 arithmetic wraps, so all but r * dim fold into
+        # one key per column.
+        keys = np.arange(spec.dim, dtype=np.uint64)
+        keys += stream
+        keys += _GOLDEN
+        #: (spec, column keys) of each index a lookup row takes.
+        self._slots = ((spec, keys),)
+        self._lay_out()
+
+    @classmethod
+    def stack(cls, tables: Sequence["VirtualTable"]) -> "VirtualTable":
+        """One table reading every member's slots side by side.
+
+        Each member owns ``spec.lookups_per_inference`` consecutive slots,
+        in member order, so a row holds the member vectors in the layout
+        of a model's embedding features.  The stacked spec multiplies the
+        slots' rows and adds their dims, like a Cartesian product's.
+        """
+        if not tables:
+            raise ValueError("stack needs at least one table")
+        for table in tables:
+            if not isinstance(table, VirtualTable):
+                raise TypeError(
+                    f"only VirtualTables stack, got {type(table).__name__}"
+                )
+        slots = tuple(
+            slot
+            for table in tables
+            for _ in range(table.spec.lookups_per_inference)
+            for slot in table._slots
+        )
+        stacked = cls.__new__(cls)
+        stacked.spec = TableSpec(
+            table_id=tables[0].spec.table_id,
+            rows=math.prod(spec.rows for spec, _ in slots),
+            dim=sum(spec.dim for spec, _ in slots),
+        )
+        stacked._slots = slots
+        stacked._lay_out()
+        return stacked
+
+    def _lay_out(self) -> None:
+        """Per-slot bounds and row stride; per-column source slot and key."""
+        specs = [spec for spec, _ in self._slots]
+        dims = [spec.dim for spec in specs]
+        self._slot_rows = np.array([spec.rows for spec in specs])
+        self._slot_ids = np.array([spec.table_id for spec in specs])
+        self._slot_stride = np.array(dims, dtype=np.uint64)
+        self._src = np.repeat(np.arange(len(specs)), dims)
+        self._col_key = np.concatenate([keys for _, keys in self._slots])
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = _check_indices(indices, self.spec.rows, self.spec.table_id)
-        dim = self.spec.dim
-        # One hash input per (row, col) cell: row * dim + col, offset by the
-        # per-table stream so distinct tables decorrelate.
-        cells = (
-            indices[:, None].astype(np.uint64) * np.uint64(dim)
-            + np.arange(dim, dtype=np.uint64)[None, :]
-        )
-        with np.errstate(over="ignore"):
-            hashed = _splitmix64(cells + self._stream)
-        # Top 24 bits -> uniform float32 in [0, 1) -> [-1, 1).
-        frac = (hashed >> np.uint64(40)).astype(np.float32) / np.float32(2**24)
-        return (frac * np.float32(2.0) - np.float32(1.0)).astype(np.float32)
+        """Gather rows as float32 of shape ``(batch, spec.dim)``.
+
+        A plain table takes ``(batch,)`` row indices.  A stacked table
+        takes ``(batch, slots)`` slot indices, since its product row index
+        would overflow int64.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        slots = len(self._slots)
+        if idx.ndim == 1 and slots == 1:
+            idx = idx[:, None]
+        if idx.ndim != 2 or idx.shape[1] != slots:
+            raise ValueError(
+                f"table {self.spec.table_id}: indices must have shape "
+                f"{'(batch,) or ' if slots == 1 else ''}(batch, {slots}), "
+                f"got {idx.shape}"
+            )
+        if idx.size:
+            bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= self._slot_rows)
+            if bad.any():
+                slot = int(np.argmax(bad))
+                raise IndexError(
+                    f"table {self._slot_ids[slot]}: index out of range "
+                    f"[0, {self._slot_rows[slot]})"
+                    + (f" in slot {slot}" if slots > 1 else "")
+                )
+        # Indices are checked non-negative, so viewing them unsigned is exact.
+        row_keys = idx.view(np.uint64) * self._slot_stride
+        cells = row_keys[:, self._src]
+        cells += self._col_key
+        return _uniform_cells(cells)
 
     def materialize(self) -> MaterializedTable:
-        """Realise the full table as an array (small specs only)."""
+        """Realise the full table as an array (small plain specs only)."""
         all_rows = np.arange(self.spec.rows, dtype=np.int64)
         return MaterializedTable(self.spec, self.lookup(all_rows))
 

@@ -49,10 +49,20 @@ class FixedPointFormat:
         return 1.0 / self.scale
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Round to the grid and saturate, returning float32 values."""
-        q = np.rint(np.asarray(x, dtype=np.float64) * self.scale)
-        q = np.clip(q, self.min_int, self.max_int)
-        return (q / self.scale).astype(np.float32)
+        """Round to the grid and saturate, returning float32 values.
+
+        float32 input stays float32: the scale is a power of two, so
+        scaling is exact, and every rounded grid value is representable,
+        so the result equals rounding in float64 bit for bit.  Other
+        input is rounded in float64.
+        """
+        x = np.asarray(x)
+        work = np.float32 if x.dtype == np.float32 else np.float64
+        q = np.multiply(x, self.scale, dtype=work)
+        np.rint(q, out=q)
+        np.clip(q, self.min_int, self.max_int, out=q)
+        q *= self.resolution
+        return q.astype(np.float32, copy=False)
 
 
 #: The formats used by the paper's two FPGA configurations.  Embeddings and
@@ -155,9 +165,10 @@ class Mlp:
         h = fmt.quantize(x) if fmt else x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             if fmt:
                 h = fmt.quantize(h)
         return sigmoid(h[:, 0])

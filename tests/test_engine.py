@@ -1,16 +1,19 @@
 """Unit tests for the MicroRec engine: planning + functional inference.
 
-The decisive test is functional equivalence: routing lookups through the
-planner's merged Cartesian tables must produce byte-identical features —
-and hence identical CTR predictions — to the plain per-table CPU reference.
+The decisive test is functional equivalence: the engine's single stacked
+gather over every table (merged by the planner or not) must produce
+byte-identical features — and hence identical CTR predictions — to the
+plain per-table CPU reference.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.cartesian import CartesianTable
 from repro.core.engine import MicroRecEngine
+from repro.core.tables import VirtualTable
 from repro.fpga.accelerator import FpgaConfig
-from repro.models.spec import production_small
+from repro.models.spec import dlrm_rmc2, production_small
 from repro.models.workload import QueryGenerator
 
 
@@ -87,6 +90,33 @@ class TestFunctionalEquivalence:
         np.testing.assert_array_equal(
             virt.lookup_embeddings(batch), mat.lookup_embeddings(batch)
         )
+
+    def test_multi_lookup_tables_and_dense_features(self):
+        """Several slots per table, plus dense features ahead of them."""
+        model = dlrm_rmc2(num_tables=3, dim=8, lookups_per_table=4, rows=1000)
+        eng = MicroRecEngine.build(model, seed=6)
+        batch = QueryGenerator(model, seed=8).batch(24)
+        np.testing.assert_array_equal(
+            eng.lookup_embeddings(batch), eng.reference_engine().embed(batch)
+        )
+
+    def test_one_gather_per_call(self, engine, scaled_model, monkeypatch):
+        """Every table is read by one stacked lookup, none on its own."""
+        calls = []
+
+        def counted(cls):
+            original = cls.lookup
+
+            def lookup(self, indices):
+                calls.append(cls.__name__)
+                return original(self, indices)
+
+            monkeypatch.setattr(cls, "lookup", lookup)
+
+        counted(VirtualTable)
+        counted(CartesianTable)
+        engine.infer(QueryGenerator(scaled_model, seed=4).batch(16))
+        assert calls == ["VirtualTable"]
 
 
 class TestTimedEstimates:

@@ -30,6 +30,25 @@ class TestFixedPointFormat:
         once = fmt.quantize(x)
         np.testing.assert_array_equal(fmt.quantize(once), once)
 
+    @pytest.mark.parametrize("fmt", [FIXED16, FIXED32, FixedPointFormat(8, 7)])
+    def test_float32_input_rounds_as_in_float64(self, rng, fmt):
+        """The float32 fast path is bit-identical to rounding in float64."""
+        grid = np.arange(-5, 6) / fmt.scale
+        x = np.concatenate(
+            [
+                rng.standard_normal(4096) * 4,
+                grid + 0.5 / fmt.scale,  # ties
+                [fmt.max_int / fmt.scale, fmt.min_int / fmt.scale, 1e30],
+                [-1e30, np.inf, -np.inf, 0.0, -0.0],
+            ]
+        ).astype(np.float32)
+        fast = fmt.quantize(x)
+        slow = fmt.quantize(x.astype(np.float64))
+        assert fast.dtype == slow.dtype == np.float32
+        np.testing.assert_array_equal(
+            fast.view(np.uint32), slow.view(np.uint32)
+        )
+
     @pytest.mark.parametrize("bits,frac", [(12, 4), (16, 16), (16, -1)])
     def test_invalid_formats_rejected(self, bits, frac):
         with pytest.raises(ValueError):

@@ -10,6 +10,23 @@ from repro.core.tables import (
     make_tables,
 )
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    """splitmix64 on Python integers: an independent oracle."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _virtual_cell(seed: int, spec: TableSpec, row: int, col: int) -> float:
+    """``VirtualTable`` value of one cell, computed one cell at a time."""
+    stream = ((seed << 32) & _MASK64) ^ _mix64(spec.table_id)
+    key = (row * spec.dim + col + stream) & _MASK64
+    return (_mix64(key) >> 40) / 2**24 * 2.0 - 1.0
+
 
 class TestTableSpec:
     def test_byte_accounting(self):
@@ -115,6 +132,114 @@ class TestVirtualTable:
         table = VirtualTable(TableSpec(0, rows=8, dim=4))
         with pytest.raises(IndexError):
             table.lookup(np.array([8]))
+
+    def test_matches_cell_by_cell_oracle(self):
+        """The vectorised hash is splitmix64 of ``(seed, id, row, col)``."""
+        spec = TableSpec(3, rows=42_000_000, dim=5)
+        rows = np.array([0, 1, 12_345_678, 41_999_999])
+        got = VirtualTable(spec, seed=42).lookup(rows)
+        want = [
+            [_virtual_cell(42, spec, int(r), c) for c in range(spec.dim)]
+            for r in rows
+        ]
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.float32))
+
+    def test_values_pinned(self):
+        """Table contents are reproduction outputs: they must not drift."""
+        table = VirtualTable(TableSpec(3, rows=42_000_000, dim=4), seed=42)
+        got = table.lookup(np.array([0, 41_999_999]))
+        pinned = [
+            "0x1.ff2cp-4", "0x1.97febp-1", "-0x1.c0af88p-1", "0x1.286f3p-2",
+            "0x1.bcc1bp-1", "0x1.b9fce4p-1", "0x1.805854p-1", "-0x1.99ac9p-1",
+        ]
+        want = np.array([float.fromhex(v) for v in pinned], np.float32)
+        np.testing.assert_array_equal(got.ravel(), want)
+
+
+def _row_oracle(tables, indices):
+    """Each slot looked up through its own table, concatenated."""
+    parts, slot = [], 0
+    for table in tables:
+        lookups = table.spec.lookups_per_inference
+        block = indices[:, slot : slot + lookups]
+        parts.append(table.lookup(block.reshape(-1)).reshape(len(block), -1))
+        slot += lookups
+    return np.concatenate(parts, axis=1)
+
+
+def _slot_indices(rng, tables, batch):
+    return np.concatenate(
+        [
+            rng.integers(
+                0, t.spec.rows, size=(batch, t.spec.lookups_per_inference)
+            )
+            for t in tables
+        ],
+        axis=1,
+    )
+
+
+class TestStackedVirtualTable:
+    @pytest.fixture
+    def tables(self):
+        specs = [
+            TableSpec(4, rows=50_000_000, dim=23),
+            TableSpec(0, rows=16, dim=4, lookups_per_inference=3),
+            TableSpec(9, rows=1000, dim=8),
+            TableSpec(2, rows=7, dim=1, lookups_per_inference=2),
+        ]
+        return [VirtualTable(s, seed=5 + i % 2) for i, s in enumerate(specs)]
+
+    def test_row_equals_member_lookups(self, rng, tables):
+        stack = VirtualTable.stack(tables)
+        assert stack.spec.dim == 23 + 3 * 4 + 8 + 2
+        assert stack.spec.rows == 50_000_000 * 16**3 * 1000 * 7**2
+        for batch in (1, 33):
+            idx = _slot_indices(rng, tables, batch)
+            np.testing.assert_array_equal(
+                stack.lookup(idx), _row_oracle(tables, idx)
+            )
+
+    def test_stacks_nest(self, rng, tables):
+        nested = VirtualTable.stack(
+            [VirtualTable.stack(tables[:2]), *tables[2:]]
+        )
+        idx = _slot_indices(rng, tables, 9)
+        np.testing.assert_array_equal(
+            nested.lookup(idx), VirtualTable.stack(tables).lookup(idx)
+        )
+
+    def test_empty_batch(self, tables):
+        stack = VirtualTable.stack(tables)
+        empty = stack.lookup(np.empty((0, 7), dtype=np.int64))
+        assert empty.shape == (0, stack.spec.dim)
+        assert empty.dtype == np.float32
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_out_of_range_names_the_table(self, tables, bad):
+        idx = np.zeros((2, 7), dtype=np.int64)
+        idx[1, 6] = bad  # the second slot of table 2 (7 rows)
+        with pytest.raises(IndexError, match=r"table 2: .*\[0, 7\) in slot 6"):
+            VirtualTable.stack(tables).lookup(idx)
+
+    def test_shape_checked(self, tables):
+        stack = VirtualTable.stack(tables)
+        with pytest.raises(ValueError, match=r"\(batch, 7\)"):
+            stack.lookup(np.zeros((2, 6), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(batch, 7\)"):
+            stack.lookup(np.zeros(7, dtype=np.int64))
+
+    def test_plain_table_takes_one_slot(self, tables):
+        rows = np.array([3, 0, 999])
+        np.testing.assert_array_equal(
+            tables[2].lookup(rows[:, None]), tables[2].lookup(rows)
+        )
+
+    def test_only_virtual_tables_stack(self, tables):
+        with pytest.raises(ValueError):
+            VirtualTable.stack([])
+        with pytest.raises(TypeError, match="MaterializedTable"):
+            VirtualTable.stack([tables[1], tables[1].materialize()])
 
 
 class TestMakeTables:
