@@ -85,7 +85,7 @@ class MutableDefaultRule(Rule):
 # RPR006 — parity-pair coverage
 # ---------------------------------------------------------------------------
 
-#: `_run_scalar` -> companion `run`; `_run_trace_scalar` -> `run_trace`.
+#: `_run_scalar` -> companion `run`; `_add_many_scalar` -> `add_many`.
 _SCALAR_NAME_RE = re.compile(r"^_(?P<base>\w+?)_scalar$")
 
 

@@ -3,7 +3,7 @@
 The paper keeps the whole embedding working set in on-card memory; at
 production scale (ROADMAP: "millions of users") the tables outgrow HBM
 and the hot rows must be *cached* there, with DDR and host/SSD behind it.
-This module turns the standalone cache study into a first-class layer:
+This module makes hot-row caching a first-class layer:
 
 * :class:`TierSpec` / :class:`TierHierarchy` — named capacity+latency
   tiers, fastest first, sourced from :mod:`repro.memory.spec` and
@@ -15,6 +15,13 @@ This module turns the standalone cache study into a first-class layer:
   ``admit-on-second-touch`` ship built in, :func:`register_cache_policy`
   adds plug-ins, :func:`get_cache_policy` resolves names and raises
   :class:`UnknownCachePolicyError` with the available names on a typo.
+
+Each built-in policy replays a trace in one pass over its keys as Python
+ints, marking hits in a list that becomes the bool array once: ``lru``
+keeps an ``OrderedDict`` in recency order, ``lfu`` evicts from a lazily
+refreshed heap of packed (count, last position) ints, and
+``admit-on-second-touch`` runs that ``OrderedDict`` LRU behind a ghost
+LRU of keys seen once.
 
 Everything above this layer (``PerfEstimate``, the serving surfaces, the
 autoscaler, the bench) consumes :class:`TierHierarchy` through
@@ -31,6 +38,7 @@ Plug-in example::
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
@@ -40,7 +48,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.metrics import MetricRegistry
 
-from repro.memory.cache import lru_hit_flags
 from repro.memory.spec import (
     GIB,
     BankKind,
@@ -85,58 +92,85 @@ class CachePolicy(Protocol):
         ...
 
 
+def _replay_input(keys: np.ndarray, capacity_rows: int) -> list[int]:
+    """Validate a replay's capacity and return its keys as Python ints."""
+    if capacity_rows <= 0:
+        raise ValueError(
+            f"capacity_rows must be positive, got {capacity_rows}"
+        )
+    return np.asarray(keys, dtype=np.int64).ravel().tolist()
+
+
 class LruPolicy:
-    """Least-recently-used with insert-on-miss (the vectorised path)."""
+    """Least-recently-used with insert-on-miss.
+
+    Replays the trace through an ``OrderedDict`` kept in recency order:
+    a hit moves its key to the back, a miss inserts at the back and, once
+    past capacity, evicts the front (the least recently used key).
+    """
 
     name = "lru"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
-        return lru_hit_flags(keys, capacity_rows)
+        keys_list = _replay_input(keys, capacity_rows)
+        flags = [False] * len(keys_list)
+        cache: OrderedDict[int, None] = OrderedDict()
+        touch, evict = cache.move_to_end, cache.popitem
+        for i, key in enumerate(keys_list):
+            if key in cache:
+                touch(key)
+                flags[i] = True
+                continue
+            cache[key] = None
+            if len(cache) > capacity_rows:
+                evict(False)
+        return np.array(flags, dtype=bool)
 
 
 class LfuPolicy:
     """Least-frequently-used, LRU within a frequency class.
 
-    O(1) frequency-bucket implementation: evicts the least recently
-    used key of the lowest frequency; an evicted key forgets its count
-    (no ghost history).
+    Evicts the least recently touched key of the lowest access count; an
+    evicted key forgets its count (no ghost history).  Each resident
+    key's state is one int packing ``(count << shift) | position`` of its
+    last access, so ordering states orders victims.  The eviction heap
+    holds one entry per resident key that may lag its state (hits only
+    update the dict); a lagging top is refreshed in place, and the first
+    top equal to its key's state is the victim.  States only grow, so
+    that top is the minimum over every resident key.
     """
 
     name = "lfu"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
-        if capacity_rows <= 0:
-            raise ValueError(
-                f"capacity_rows must be positive, got {capacity_rows}"
-            )
-        keys_list = np.asarray(keys, dtype=np.int64).ravel().tolist()
-        out = np.zeros(len(keys_list), dtype=bool)
-        freq: dict[int, int] = {}
-        buckets: dict[int, OrderedDict[int, None]] = {}
-        min_freq = 0
+        keys_list = _replay_input(keys, capacity_rows)
+        shift = len(keys_list).bit_length()
+        pos_mask = (1 << shift) - 1
+        flags = [False] * len(keys_list)
+        state: dict[int, int] = {}
+        heap: list[int] = []
         for i, key in enumerate(keys_list):
-            count = freq.get(key)
-            if count is not None:
-                out[i] = True
-                bucket = buckets[count]
-                del bucket[key]
-                if not bucket:
-                    del buckets[count]
-                    if min_freq == count:
-                        min_freq = count + 1
-                freq[key] = count + 1
-                buckets.setdefault(count + 1, OrderedDict())[key] = None
+            entry = state.get(key)
+            if entry is not None:
+                flags[i] = True
+                # count + 1, position i: clear the old position bits by
+                # carrying into the count field, then add the new one.
+                state[key] = (entry | pos_mask) + 1 + i
                 continue
-            if len(freq) >= capacity_rows:
-                victims = buckets[min_freq]
-                victim, _ = victims.popitem(last=False)
-                if not victims:
-                    del buckets[min_freq]
-                del freq[victim]
-            freq[key] = 1
-            buckets.setdefault(1, OrderedDict())[key] = None
-            min_freq = 1
-        return out
+            entry = state[key] = (1 << shift) | i
+            if len(heap) < capacity_rows:
+                heapq.heappush(heap, entry)
+                continue
+            while True:
+                top = heap[0]
+                victim = keys_list[top & pos_mask]
+                current = state[victim]
+                if current == top:
+                    break
+                heapq.heapreplace(heap, current)
+            del state[victim]
+            heapq.heapreplace(heap, entry)
+        return np.array(flags, dtype=bool)
 
 
 class AdmitOnSecondTouchPolicy:
@@ -152,18 +186,15 @@ class AdmitOnSecondTouchPolicy:
     name = "admit-on-second-touch"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
-        if capacity_rows <= 0:
-            raise ValueError(
-                f"capacity_rows must be positive, got {capacity_rows}"
-            )
-        keys_list = np.asarray(keys, dtype=np.int64).ravel().tolist()
-        out = np.zeros(len(keys_list), dtype=bool)
+        keys_list = _replay_input(keys, capacity_rows)
+        flags = [False] * len(keys_list)
         cache: OrderedDict[int, None] = OrderedDict()
         ghost: OrderedDict[int, None] = OrderedDict()
+        touch = cache.move_to_end
         for i, key in enumerate(keys_list):
             if key in cache:
-                out[i] = True
-                cache.move_to_end(key)
+                touch(key)
+                flags[i] = True
                 continue
             if key in ghost:
                 del ghost[key]
@@ -174,7 +205,7 @@ class AdmitOnSecondTouchPolicy:
                 ghost[key] = None
                 if len(ghost) > capacity_rows:
                     ghost.popitem(last=False)
-        return out
+        return np.array(flags, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ _SAMPLES_PER_SEGMENT = 512
 
 
 def _check_positive(name: str, value: float) -> None:
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def poisson_arrivals(

@@ -15,6 +15,7 @@ sizes against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class PopularityModel:
     def __post_init__(self) -> None:
         if self.rows <= 0:
             raise ValueError(f"rows must be positive, got {self.rows}")
+        for name in ("alpha", "drift_rows_per_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.drift_rows_per_s < 0:
             raise ValueError(
                 f"drift_rows_per_s must be >= 0, "

@@ -1,16 +1,14 @@
-"""Unit tests for the related-work baselines, the row cache, and the CLI."""
+"""Unit tests for the related-work baselines, the LRU row cache, and the CLI."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.gpu import GpuCostModel
 from repro.baselines.nmp import NmpCostModel, NmpSpec
 from repro.cli import main
 from repro.cpu.costmodel import CpuCostModel
-from repro.memory.cache import (
-    LruRowCache,
-    effective_lookup_ns,
-    zipf_hit_rate,
-)
+from repro.memory import get_cache_policy
+from repro.models.distributions import zipf_indices
 from repro.models.spec import production_small
 
 
@@ -82,43 +80,42 @@ class TestNmpBaseline:
             NmpSpec(op_overhead_fraction=1.5)
 
 
+def lru_hits(trace, capacity_rows):
+    return get_cache_policy("lru").hits(np.array(trace), capacity_rows)
+
+
+def lru_zipf_hit_rate(rows, capacity_rows, alpha):
+    keys = zipf_indices(np.random.default_rng(0), rows, 50_000, alpha)
+    return float(lru_hits(keys, capacity_rows).mean())
+
+
 class TestLruRowCache:
+    """The ``lru`` cache policy as a row cache in front of one table."""
+
     def test_hits_and_misses(self):
-        cache = LruRowCache(capacity_rows=2)
-        assert not cache.access(1)
-        assert cache.access(1)
-        assert not cache.access(2)
-        assert not cache.access(3)  # evicts 1 (LRU)
-        assert not cache.access(1)
-        assert cache.stats.hit_rate == pytest.approx(1 / 5)
+        hits = lru_hits([1, 1, 2, 3, 1], capacity_rows=2)
+        # 3 evicts 1 (LRU), so the last touch of 1 misses.
+        assert hits.tolist() == [False, True, False, False, False]
+        assert hits.mean() == pytest.approx(1 / 5)
 
     def test_lru_order_updated_on_hit(self):
-        cache = LruRowCache(capacity_rows=2)
-        cache.access(1)
-        cache.access(2)
-        cache.access(1)  # 1 becomes MRU
-        cache.access(3)  # evicts 2
-        assert cache.access(1)
-        assert not cache.access(2)
+        # The hit on 1 makes it MRU, so 3 evicts 2 instead.
+        hits = lru_hits([1, 2, 1, 3, 1, 2], capacity_rows=2)
+        assert hits.tolist()[-2:] == [True, False]
 
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LruRowCache(0)
+        with pytest.raises(ValueError, match="capacity_rows"):
+            lru_hits([1], 0)
 
     def test_zipf_hit_rate_grows_with_skew(self):
-        flat = zipf_hit_rate(rows=10_000, capacity_rows=100, alpha=0.0)
-        skewed = zipf_hit_rate(rows=10_000, capacity_rows=100, alpha=1.2)
+        flat = lru_zipf_hit_rate(rows=10_000, capacity_rows=100, alpha=0.0)
+        skewed = lru_zipf_hit_rate(rows=10_000, capacity_rows=100, alpha=1.2)
         assert skewed > flat + 0.2
 
     def test_zipf_hit_rate_grows_with_capacity(self):
-        small = zipf_hit_rate(rows=10_000, capacity_rows=50, alpha=1.05)
-        big = zipf_hit_rate(rows=10_000, capacity_rows=2000, alpha=1.05)
+        small = lru_zipf_hit_rate(rows=10_000, capacity_rows=50, alpha=1.05)
+        big = lru_zipf_hit_rate(rows=10_000, capacity_rows=2000, alpha=1.05)
         assert big > small
-
-    def test_effective_latency(self):
-        assert effective_lookup_ns(0.5, 100.0, 300.0) == pytest.approx(200.0)
-        with pytest.raises(ValueError):
-            effective_lookup_ns(1.5, 1.0, 2.0)
 
 
 class TestCli:

@@ -1,5 +1,8 @@
 """Tests for the tiered-storage layer: policies, hierarchy, popularity."""
 
+import zlib
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.memory.tiers import (
     scaled_tier_hierarchy,
 )
 from repro.memory.timing import default_timing_model
+from repro.models.distributions import zipf_indices
 from repro.serving.popularity import PopularityModel
 
 
@@ -129,6 +133,119 @@ class TestPolicies:
         keys = rng.integers(0, 500, size=3000)
         policy = get_cache_policy(name)
         assert np.array_equal(policy.hits(keys, 64), policy.hits(keys, 64))
+
+
+def _stack_distance_lru(keys, capacity_rows):
+    """LRU from its stack-distance definition, one access at a time.
+
+    Access ``i`` hits iff its key occurred before, last at ``p``, and
+    fewer than ``capacity_rows`` distinct keys appeared strictly between
+    ``p`` and ``i``.  Each such key is counted once, at its first access
+    after ``p``: the one whose own previous occurrence is ``<= p``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    prev = np.full(keys.size, -1, dtype=np.int64)
+    last: dict[int, int] = {}
+    for i, key in enumerate(keys.tolist()):
+        prev[i] = last.get(key, -1)
+        last[key] = i
+    flags = np.zeros(keys.size, dtype=bool)
+    for i, p in enumerate(prev.tolist()):
+        if p >= 0:
+            flags[i] = np.count_nonzero(prev[p + 1:i] <= p) < capacity_rows
+    return flags
+
+
+def _reference_lfu(keys: np.ndarray, capacity_rows: int) -> np.ndarray:
+    """The frequency-bucket LFU the heap replay replaced, verbatim."""
+    if capacity_rows <= 0:
+        raise ValueError(
+            f"capacity_rows must be positive, got {capacity_rows}"
+        )
+    keys_list = np.asarray(keys, dtype=np.int64).ravel().tolist()
+    out = np.zeros(len(keys_list), dtype=bool)
+    freq: dict[int, int] = {}
+    buckets: dict[int, OrderedDict[int, None]] = {}
+    min_freq = 0
+    for i, key in enumerate(keys_list):
+        count = freq.get(key)
+        if count is not None:
+            out[i] = True
+            bucket = buckets[count]
+            del bucket[key]
+            if not bucket:
+                del buckets[count]
+                if min_freq == count:
+                    min_freq = count + 1
+            freq[key] = count + 1
+            buckets.setdefault(count + 1, OrderedDict())[key] = None
+            continue
+        if len(freq) >= capacity_rows:
+            victims = buckets[min_freq]
+            victim, _ = victims.popitem(last=False)
+            if not victims:
+                del buckets[min_freq]
+            del freq[victim]
+        freq[key] = 1
+        buckets.setdefault(1, OrderedDict())[key] = None
+        min_freq = 1
+    return out
+
+
+ORACLES = {"lru": _stack_distance_lru, "lfu": _reference_lfu}
+
+
+def _small_traces(count=3000, seed=11):
+    """Seeded (keys, capacity) pairs: universe 1-15, capacity 1-12,
+    length 0-80, so evictions, ties and re-admissions are all common."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        universe = int(rng.integers(1, 16))
+        capacity = int(rng.integers(1, 13))
+        length = int(rng.integers(0, 81))
+        yield rng.integers(0, universe, size=length), capacity
+
+
+class TestPolicyExactness:
+    """Each one-pass replay against an independent oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_small_traces_match_oracle(self, name):
+        policy, oracle = get_cache_policy(name), ORACLES[name]
+        for keys, capacity in _small_traces():
+            got = policy.hits(keys, capacity)
+            assert got.dtype == bool and got.shape == keys.shape
+            assert np.array_equal(got, oracle(keys, capacity)), (
+                keys.tolist(),
+                capacity,
+            )
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_zipf_trace_at_hot_tier_capacity_matches_oracle(self, name):
+        # 143,442 rows is the small model at --max-rows 4096; a 12.5%
+        # hot tier holds 17,930 of them, and this trace touches 23,418
+        # distinct keys, so the hot tier evicts.
+        keys = zipf_indices(np.random.default_rng(3), 143_442, 100_000, 1.05)
+        assert np.unique(keys).size > 17_930
+        got = get_cache_policy(name).hits(keys, 17_930)
+        assert np.array_equal(got, ORACLES[name](keys, 17_930))
+
+    #: (hit count, CRC-32 of the packed flags) on the trace below,
+    #: recorded from the implementations these replays replaced.
+    PINS = {
+        "lru": (31_304, 3_541_298_950),
+        "lfu": (34_368, 1_885_703_768),
+        "admit-on-second-touch": (34_160, 4_161_692_228),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_pinned_flags(self, name):
+        keys = zipf_indices(np.random.default_rng(2021), 10_000, 50_000, 1.05)
+        flags = get_cache_policy(name).hits(keys, 512)
+        assert (
+            int(np.count_nonzero(flags)),
+            zlib.crc32(np.packbits(flags).tobytes()),
+        ) == self.PINS[name]
 
 
 class TestTierSpec:
@@ -289,6 +406,12 @@ class TestPopularityModel:
             PopularityModel(rows=10, drift_rows_per_s=-1.0)
         with pytest.raises(ValueError, match="size"):
             PopularityModel(rows=10).sample(np.random.default_rng(0), -1)
+
+    @pytest.mark.parametrize("field", ["alpha", "drift_rows_per_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+    def test_non_finite_knobs_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PopularityModel(rows=10, **{field: value})
 
     def test_sample_range_and_determinism(self):
         model = PopularityModel(rows=1000, alpha=1.05)

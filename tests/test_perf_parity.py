@@ -12,7 +12,9 @@ under fixed seeds:
   ``min(order, key=...)`` virtual-queue loops (restated verbatim below),
   plus a pinned byte-for-byte decision regression;
 * the autoscale replay's memoised window plans vs a fresh, cache-cold
-  run of equal-valued inputs.
+  run of equal-valued inputs;
+* the ``lru`` cache policy's one-pass ``OrderedDict`` replay vs a
+  textbook LRU stack (a list, most recent key last).
 
 Every comparison is exact (``np.array_equal`` on float64 timelines, not
 tolerances): latencies in the fixtures are integer-valued nanoseconds, so
@@ -32,6 +34,7 @@ from repro.cluster.routing import (
     SlaAwarePolicy,
 )
 from repro.fpga.eventsim import PipelineSimulator, SimStage
+from repro.memory import get_cache_policy
 from repro.serving.queueing import BatchedServerSim
 
 
@@ -318,72 +321,63 @@ class TestRoutingDecisionRegression:
 # ---------------------------------------------------------------------------
 
 
+def _reference_lru(keys, capacity_rows, stack=None):
+    """Textbook LRU stack: most recent key last, evict from the front.
+
+    ``stack`` carries the cache contents across calls, so a warm cache
+    is a stack left over from an earlier trace.
+    """
+    stack = [] if stack is None else stack
+    flags = []
+    for key in np.asarray(keys, dtype=np.int64).tolist():
+        hit = key in stack
+        if hit:
+            stack.remove(key)
+        stack.append(key)
+        if len(stack) > capacity_rows:
+            del stack[0]
+        flags.append(hit)
+    return np.array(flags, dtype=bool)
+
+
 class TestLruCacheParity:
-    """The stack-distance LRU rewrite vs the per-key ``access`` loop."""
+    """The one-pass ``lru`` replay vs the textbook LRU stack."""
+
+    lru = staticmethod(get_cache_policy("lru").hits)
 
     @pytest.mark.parametrize("capacity", [1, 2, 7, 64, 1000])
     @pytest.mark.parametrize("universe", [1, 3, 50, 2000])
     def test_exact_trace_parity(self, capacity, universe):
-        from repro.memory.cache import LruRowCache
-
         rng = np.random.default_rng(capacity * 1000 + universe)
         keys = rng.integers(0, universe, size=4000)
-        fast = LruRowCache(capacity)
-        slow = LruRowCache(capacity)
-        fast.run_trace(keys)
-        slow._run_trace_scalar(keys)
-        assert fast.stats == slow.stats
-        assert list(fast._lru) == list(slow._lru)
+        assert np.array_equal(
+            self.lru(keys, capacity), _reference_lru(keys, capacity)
+        )
 
     def test_zipf_trace_parity(self):
-        from repro.memory.cache import LruRowCache
         from repro.models.distributions import zipf_indices
 
         rng = np.random.default_rng(3)
         keys = zipf_indices(rng, 10_000, 20_000, 1.05)
-        fast = LruRowCache(256)
-        slow = LruRowCache(256)
-        assert (
-            fast.run_trace(keys).hit_rate
-            == slow._run_trace_scalar(keys).hit_rate
-        )
+        assert np.array_equal(self.lru(keys, 256), _reference_lru(keys, 256))
 
     def test_warm_cache_parity(self):
-        # run_trace on a non-empty cache must score only the new suffix
-        # and leave the same LRU contents as the scalar loop.
-        from repro.memory.cache import LruRowCache
-
+        # Scoring only the suffix of a replay over warm-up + trace (what
+        # TierHierarchy.simulate does with warmup_keys) matches a stack
+        # warmed by the first trace and then fed the second.
         rng = np.random.default_rng(9)
         first = rng.integers(0, 300, size=1500)
         second = rng.integers(0, 300, size=1500)
-        fast = LruRowCache(128)
-        slow = LruRowCache(128)
-        fast.run_trace(first)
-        slow._run_trace_scalar(first)
-        fast.run_trace(second)
-        slow._run_trace_scalar(second)
-        assert fast.stats == slow.stats
-        assert list(fast._lru) == list(slow._lru)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 17, 64, 129])
-    def test_count_smaller_before_matches_naive(self, n):
-        from repro.memory.cache import _count_smaller_before
-
-        rng = np.random.default_rng(n)
-        values = rng.integers(-50, 50, size=n)
-        naive = np.array(
-            [np.count_nonzero(values[:i] < values[i]) for i in range(n)],
-            dtype=np.int64,
-        )
-        assert np.array_equal(_count_smaller_before(values), naive)
+        stack = []
+        _reference_lru(first, 128, stack)
+        expected = _reference_lru(second, 128, stack)
+        got = self.lru(np.concatenate([first, second]), 128)[first.size:]
+        assert np.array_equal(got, expected)
 
     def test_empty_trace_is_a_no_op(self):
-        from repro.memory.cache import LruRowCache
-
-        cache = LruRowCache(4)
-        stats = cache.run_trace(np.array([], dtype=np.int64))
-        assert stats.accesses == 0
-        assert stats.hit_rate == 0.0
+        hits = self.lru(np.array([], dtype=np.int64), 4)
+        assert hits.dtype == bool
+        assert hits.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

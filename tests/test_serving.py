@@ -10,6 +10,7 @@ from repro.serving.arrivals import (
     diurnal_trace,
     flash_crowd_trace,
     poisson_arrivals,
+    segment,
     trace_arrivals,
     uniform_arrivals,
 )
@@ -85,6 +86,18 @@ class TestArrivals:
             poisson_arrivals(rng, 0, 1.0)
         with pytest.raises(ValueError):
             uniform_arrivals(10, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_and_duration_rejected(self, value):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="duration_s must be"):
+            poisson_arrivals(rng, 10.0, value)
+        with pytest.raises(ValueError, match="rate_per_s must be"):
+            poisson_arrivals(rng, value, 1.0)
+        with pytest.raises(ValueError, match="duration_s must be"):
+            uniform_arrivals(10.0, value)
+        with pytest.raises(ValueError, match="duration_s must be"):
+            segment(value, lambda t: 10.0)
 
 
 class TestRateTrace:

@@ -411,3 +411,20 @@ class TestCliTiers:
 
     def test_unknown_model_exits_2(self):
         assert main(["tiers", "galactic"]) == 2
+
+    @pytest.mark.parametrize(
+        ("flag", "field"),
+        [
+            ("--alpha", "alpha"),
+            ("--drift", "drift_rows_per_s"),
+            ("--duration-s", "duration_s"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_2_naming_the_field(
+        self, capsys, flag, field, value
+    ):
+        assert main([*self.ARGS, flag, value, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be" in captured.err
