@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.routing import get_policy
+from repro.cluster.routing import check_slo_ms, get_policy
 from repro.models.spec import ModelSpec
 from repro.runtime.api import deploy_model
 from repro.serving.sla import DEFAULT_SLA_MS
@@ -95,7 +95,9 @@ def deploy_cluster(
     specs = list(replicas)
     if not specs:
         raise ValueError("deploy_cluster needs at least one ReplicaSpec")
-    policy = get_policy(router)  # fail on typos before any build work
+    # Fail on typos and bad SLOs before any build work.
+    policy = get_policy(router)
+    check_slo_ms(slo_ms)
     sessions = []
     labels = []
     for spec in specs:

@@ -22,6 +22,7 @@ import numpy as np
 from repro.cluster.routing import (
     ReplicaView,
     RoutingPolicy,
+    check_slo_ms,
     dispatch_counts,
     get_policy,
 )
@@ -210,8 +211,7 @@ class Cluster(ServingSurface):
     ):
         if not replicas:
             raise ValueError("a Cluster needs at least one replica")
-        if slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+        check_slo_ms(slo_ms)
         self.replicas: tuple[Session, ...] = tuple(replicas)
         # Replicas are addressed by the model label they were deployed
         # under (the registry name, e.g. "small"), not the scaled spec's

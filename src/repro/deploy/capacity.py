@@ -132,8 +132,10 @@ def plan_fleet_for(
     (serving fleets never run at 100%); node counts are the minimum
     satisfying it.  Returns plans keyed by backend name.
     """
-    if target_qps <= 0:
-        raise ValueError(f"target_qps must be positive, got {target_qps}")
+    if not (math.isfinite(target_qps) and target_qps > 0):
+        raise ValueError(
+            f"target_qps must be positive and finite, got {target_qps}"
+        )
     if not 0 < headroom <= 1:
         raise ValueError(f"headroom must be in (0, 1], got {headroom}")
     fleets: dict[str, FleetPlan] = {}

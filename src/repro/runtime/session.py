@@ -294,11 +294,12 @@ class ServingSurface:
         :mod:`repro.serving.arrivals` (steady :func:`poisson_arrivals` /
         :func:`uniform_arrivals`, or :func:`trace_arrivals` over a
         time-varying :class:`~repro.serving.arrivals.RateTrace`); an
-        empty stream is rejected with a clear error rather than yielding
-        NaN latency statistics.  For rate sweeps use :meth:`sweep`, for
-        trace replay :meth:`serve_trace`; the serving lab
-        (:mod:`repro.serving.lab`) builds latency-under-load curves from
-        this method across all backends and clusters.
+        empty stream, or one with a NaN or inf timestamp, is rejected
+        with a clear error rather than yielding NaN latency statistics.
+        For rate sweeps use :meth:`sweep`, for trace replay
+        :meth:`serve_trace`; the serving lab (:mod:`repro.serving.lab`)
+        builds latency-under-load curves from this method across all
+        backends and clusters.
 
         With a tier hierarchy attached (:meth:`attach_tiers`), the
         optional ``tier_warmup`` knob sets how many steady-state
@@ -328,6 +329,11 @@ class ServingSurface:
             raise ValueError(
                 f"{self.backend}: cannot serve an empty arrival stream "
                 "(raise the rate or the duration)"
+            )
+        if not np.isfinite(arrivals).all():
+            raise ValueError(
+                f"{self.backend}: arrivals_ns must be finite "
+                "(no NaN or inf timestamps)"
             )
         result = self._serve(arrivals, **server_knobs)
         tier_penalty = None

@@ -9,6 +9,7 @@ routed fpga+gpu+cpu cluster beats the cheapest commodity tier at the
 same node count.
 """
 
+import dataclasses
 import json
 from typing import ClassVar
 
@@ -213,10 +214,31 @@ class TestRoutingPolicies:
 
     def test_sla_aware_rejects_bad_slo(self, sessions):
         views = _views(sessions, TIERS)
-        with pytest.raises(ValueError, match="slo_ms"):
-            get_policy("sla-aware").route(
-                arrivals_at(1000, 0.01), views, slo_ms=0.0
-            )
+        for slo_ms in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_ms"):
+                get_policy("sla-aware").route(
+                    arrivals_at(1000, 0.01), views, slo_ms=slo_ms
+                )
+
+    def test_sla_aware_rejects_non_finite_arrivals(self, sessions):
+        views = _views(sessions, TIERS)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="arrivals_ns"):
+                get_policy("sla-aware").route(
+                    np.array([0.0, bad, 5.0]), views, slo_ms=SLO_MS
+                )
+
+    def test_replica_view_rejects_bad_figures(self, sessions):
+        view = _views(sessions, ["fpga"])[0]
+        bad_values = {
+            "ii_ns": (0.0, -1.0, float("nan"), float("inf")),
+            "latency_ms": (-1.0, float("nan"), float("inf")),
+            "serving_latency_ms": (-1.0, float("nan"), float("inf")),
+        }
+        for field, values in bad_values.items():
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    dataclasses.replace(view, **{field: value})
 
 
 class TestClusterServingResult:
@@ -313,6 +335,13 @@ def cluster_sessions(result: ClusterServingResult):
 
 
 class TestClusterSurface:
+    def test_serve_rejects_non_finite_arrivals(self, cluster3, sessions):
+        # Before, a NaN arrival came back from the router as index -1.
+        for surface in (cluster3, sessions["fpga"], sessions["cpu"]):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="arrivals_ns"):
+                    surface.serve(np.array([0.0, bad, 5.0]))
+
     def test_serve_rejects_empty_stream(self, cluster3):
         with pytest.raises(ValueError, match="empty arrival stream"):
             cluster3.serve(np.array([]))
@@ -402,6 +431,23 @@ class TestDeployCluster:
             )
         with pytest.raises(repro.UnknownBackendError):
             deploy_cluster([ReplicaSpec("small", "tpu")], max_rows=MAX_ROWS)
+
+    def test_non_finite_slo_rejected_before_any_build(
+        self, sessions, monkeypatch
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a session was built")
+
+        monkeypatch.setattr(repro.cluster.api, "deploy_model", no_build)
+        for slo_ms in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_ms"):
+                deploy_cluster(
+                    [ReplicaSpec("small", "cpu")],
+                    router="sla-aware",
+                    slo_ms=slo_ms,
+                )
+            with pytest.raises(ValueError, match="slo_ms"):
+                Cluster([sessions["cpu"]], "sla-aware", slo_ms=slo_ms)
 
     def test_multi_model_routing(self):
         cluster = deploy_cluster(
@@ -528,6 +574,16 @@ class TestClusterCli:
         assert main([*self.ARGS, "--qps", "-5"]) == 2
         assert main([*self.ARGS, "--utilisation", "-0.5"]) == 2
         capsys.readouterr()
+
+    def test_non_finite_slo_and_qps_exit_2(self, capsys):
+        # Before, --slo-ms nan/inf exited 0 with SLA attainment 0.0/1.0
+        # and --qps inf exited 1 with an OverflowError traceback.
+        for flag, name in (("--slo-ms", "slo_ms"), ("--qps", "target_qps")):
+            for value in ("nan", "inf"):
+                assert main([*self.ARGS, flag, value]) == 2
+                err = capsys.readouterr().err
+                assert name in err
+                assert "Traceback" not in err
 
     def test_info_lists_routing_policies(self, capsys):
         assert main(["info", "--json"]) == 0

@@ -10,7 +10,10 @@ under fixed seeds:
   reference (:meth:`BatchedServerSim._run_scalar`);
 * the routing policies' incremental scan loops vs the original
   ``min(order, key=...)`` virtual-queue loops (restated verbatim below),
-  plus a pinned byte-for-byte decision regression;
+  plus a pinned byte-for-byte decision regression; for ``sla-aware``
+  this covers the bulk-committed fallback runs too, on streams built
+  to drive them (overload, ties, tiers at the SLO, one replica,
+  unsorted and empty streams);
 * the autoscale replay's memoised window plans vs a fresh, cache-cold
   run of equal-valued inputs;
 * the ``lru`` cache policy's one-pass ``OrderedDict`` replay vs a
@@ -26,6 +29,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import routing
 from repro.cluster.routing import (
     CheapestFirstPolicy,
     LeastLoadedPolicy,
@@ -35,6 +39,7 @@ from repro.cluster.routing import (
 )
 from repro.fpga.eventsim import PipelineSimulator, SimStage
 from repro.memory import get_cache_policy
+from repro.serving.arrivals import diurnal_trace, trace_arrivals
 from repro.serving.queueing import BatchedServerSim
 
 
@@ -314,6 +319,131 @@ class TestRoutingDecisionRegression:
         assert got_cheap.tolist() == _reference_cheapest_first(
             tight, TIERS, max_backlog_ms=1e-6
         ).tolist()
+
+
+#: Every serving latency under a 0.2 ms SLO, so "no tier meets the
+#: SLO" means "every tier is backlogged": the bulk path's home ground.
+#: Capacity is 1/300 + 1/700 + 1/1500 per ns, about 5.43M queries/s.
+BACKLOGGED_TIERS = [
+    _replica(0, "fast", 0.01, 300.0, 1.0, 1.0),
+    _replica(1, "mid", 0.05, 700.0, 1.0, 1.0),
+    _replica(2, "slow", 0.1, 1500.0, 1.0, 1.0),
+]
+BACKLOGGED_CAPACITY_PER_S = 1e9 * sum(1 / r.ii_ns for r in BACKLOGGED_TIERS)
+
+
+def _overloaded(load, n, seed=5):
+    """``n`` Poisson arrivals at ``load`` x the backlogged fleet's capacity."""
+    rng = np.random.default_rng(seed)
+    gap_ns = 1e9 / (load * BACKLOGGED_CAPACITY_PER_S)
+    return np.cumsum(rng.exponential(gap_ns, size=n))
+
+
+def _overload_then_light():
+    """5k arrivals at 2x capacity, then 15k at 0.3x: a run, then drain."""
+    heavy = _overloaded(2.0, 5000)
+    return np.concatenate([heavy, heavy[-1] + _overloaded(0.3, 15_000, 6)])
+
+
+def _diurnal_overload(seed=3):
+    """~120k arrivals whose sine peak overloads ``BACKLOGGED_TIERS``.
+
+    The mean load is 0.8 of capacity and the peak 1.28, as in the e2e
+    benchmark's replay: one long fallback run from the peak until the
+    virtual queues drain, then cascade decisions and idle resets.
+    """
+    rate = 0.8 * BACKLOGGED_CAPACITY_PER_S
+    trace = diurnal_trace(rate, 120_000 / rate)
+    return trace_arrivals(np.random.default_rng(seed), trace)
+
+
+class TestSlaAwareBulkParity:
+    """Streams that drive the bulk-committed fallback runs."""
+
+    @pytest.fixture
+    def commits(self, monkeypatch):
+        """Sizes of the bulk commits made while the test runs."""
+        sizes = []
+        helper = routing._commit_fallback_run
+
+        def counting(arrivals, *args):
+            chosen, after = helper(arrivals, *args)
+            sizes.append(chosen.size)
+            return chosen, after
+
+        monkeypatch.setattr(routing, "_commit_fallback_run", counting)
+        return sizes
+
+    def _assert_matches(self, arrivals, replicas, slo_ms):
+        got = SlaAwarePolicy().route(arrivals, replicas, slo_ms=slo_ms)
+        expected = _reference_sla_aware(arrivals, replicas, slo_ms)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        return got
+
+    def test_diurnal_overload_runs_past_the_largest_block(self, commits):
+        self._assert_matches(_diurnal_overload(), BACKLOGGED_TIERS, 0.2)
+        assert commits.count(routing._BLOCK_MAX) >= 3
+
+    def test_equal_tiers_with_duplicate_timestamps(self, commits):
+        # Four identical tiers and three arrivals per timestamp: every
+        # choice is a tie, settled towards the lower index.
+        times = np.cumsum(np.random.default_rng(8).exponential(300.0, 8000))
+        arrivals = np.repeat(np.round(times), 3)
+        for slo_ms in (0.0002, 1.5, 10.0):
+            self._assert_matches(arrivals, EQUAL_TIERS, slo_ms)
+        assert sum(commits) > 0
+
+    def test_tiers_at_and_above_the_slo(self, commits):
+        # "mid" serves in exactly the SLO and "slow" above it: past the
+        # SLO no longer implies backlogged, and the fallback can pick a
+        # tier that is idle.
+        replicas = [
+            _replica(0, "fast", 0.01, 300.0, 1.0, 1.0),
+            _replica(1, "mid", 0.05, 600.0, 1.0, 1.0),
+            _replica(2, "slow", 0.08, 1000.0, 1.0, 1.0),
+        ]
+        self._assert_matches(_overload_then_light(), replicas, 0.05)
+        assert sum(commits) > 0
+
+    def test_predictions_exactly_at_the_slo(self, commits):
+        # Timestamps on a 100 ns grid and whole-ns latencies: predictions
+        # land exactly on the SLO, where the cascade's ``<=`` decides.
+        replicas = [
+            _replica(0, "a", 0.05, 400.0, 1.0, 1.0),
+            _replica(1, "b", 0.04, 300.0, 1.0, 1.0),
+            _replica(2, "c", 0.03, 300.0, 1.0, 1.0),
+        ]
+        capacity_per_s = 1e9 * sum(1 / r.ii_ns for r in replicas)
+        gaps = np.random.default_rng(0).exponential(
+            1e9 / (0.93 * capacity_per_s), 20_000
+        )
+        arrivals = np.cumsum(np.round(gaps / 100) * 100)
+        self._assert_matches(arrivals, replicas, 0.06)
+        assert sum(commits) > 0
+
+    def test_single_replica(self, commits):
+        for slo_ms in (0.05, 0.2):
+            self._assert_matches(
+                _overload_then_light(), BACKLOGGED_TIERS[:1], slo_ms
+            )
+        assert sum(commits) > 0
+
+    def test_unsorted_arrivals(self):
+        arrivals = np.random.default_rng(9).permutation(
+            _overloaded(1.5, 20_000)
+        )
+        self._assert_matches(arrivals, BACKLOGGED_TIERS, 0.2)
+        self._assert_matches(arrivals, TIERS, 0.05)
+
+    def test_empty_stream(self):
+        got = self._assert_matches(np.empty(0), BACKLOGGED_TIERS, 0.2)
+        assert got.shape == (0,)
+
+    def test_overload_is_committed_in_bulk(self, commits):
+        arrivals = _overloaded(1.5, 100_000)
+        self._assert_matches(arrivals, BACKLOGGED_TIERS, 0.2)
+        assert sum(commits) >= 0.9 * arrivals.size
 
 
 # ---------------------------------------------------------------------------

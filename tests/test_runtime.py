@@ -248,6 +248,9 @@ class TestSessionServing:
         assert single.nodes == fleets["fpga"].nodes
         with pytest.raises(ValueError):
             plan_fleet_for(1000, [sessions[0].perf(), sessions[0].perf()])
+        for qps in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="target_qps"):
+                plan_fleet_for(qps, [sessions[0].perf()])
 
     def test_summary_keys(self, scaled_model):
         for name in available_backends():

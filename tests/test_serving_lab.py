@@ -328,6 +328,19 @@ class TestCliServe:
     def test_unknown_model_exits_2(self, capsys):
         assert main(["serve", "medium"]) == 2
 
+    def test_non_finite_qps_exits_2(self, capsys):
+        # Before, --qps inf exited 1 with an OverflowError traceback and
+        # --qps nan exited 2 without naming the field.
+        for value in ("nan", "inf"):
+            assert main(
+                ["serve", "small", "--max-rows", "128", "--duration-s",
+                 "0.02", "--backend", "fpga", "--utilisation", "0.3",
+                 "--process", "poisson", "--qps", value]
+            ) == 2
+            err = capsys.readouterr().err
+            assert "target_qps" in err
+            assert "Traceback" not in err
+
     def test_explicit_undeployable_backend_exits_2(self, capsys):
         # fpga-compressed needs --max-rows; asked for by name, the
         # failure is fatal.
