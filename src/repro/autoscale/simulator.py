@@ -49,7 +49,12 @@ from repro.autoscale.policies import (
     available_scalers,
     get_scaler,
 )
-from repro.serving.arrivals import RateTrace, segment, trace_arrivals
+from repro.serving.arrivals import (
+    RateTrace,
+    check_positive,
+    segment,
+    trace_arrivals,
+)
 from repro.serving.lab import lab_seed
 from repro.telemetry.digest import exact_quantile
 
@@ -685,8 +690,7 @@ def simulate_autoscale(
     is deterministic for fixed arguments.
     """
     policy_obj = get_scaler(policy) if isinstance(policy, str) else policy
-    if slo_ms <= 0:
-        raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+    check_positive("slo_ms", slo_ms)
     if not 0 < slo_percentile < 100:
         raise ValueError(
             f"slo_percentile must be in (0, 100), got {slo_percentile}"

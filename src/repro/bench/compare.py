@@ -9,6 +9,13 @@ helper applies that sign convention, and ``repro bench --compare old.json
 --fail-on-regression [PCT]`` exits non-zero on its output so CI can gate
 on it directly.
 
+Each optional top-level block (cluster, autoscale, sharding, tiering,
+telemetry) is compared through one table, :data:`BLOCK_METRICS`: per
+block, the regression label and, per metric, where the metric sits
+inside the block and which direction is a regression.  Every such path
+ends on a field the schema (:mod:`repro.bench.schema`) pins as a finite
+number, so ``--compare`` never reads a field the validator lets float.
+
 Wall-clock budgets (schema v6) gate differently: raw ``wall_clock_s``
 deltas are too noisy to threshold, so a baseline result opts in by
 carrying ``wall_clock_budget_s`` — an explicit absolute ceiling — and the
@@ -20,85 +27,89 @@ from __future__ import annotations
 
 from repro.bench.schema import validate_payload
 
+#: The two regression directions: growth is worse, or shrinkage is.
+HIGHER = "higher-is-worse"
+LOWER = "lower-is-worse"
+
 #: Headline metrics compared per (model, backend) pair, with the direction
 #: that counts as a regression when the metric grows.
 METRICS = {
-    "latency_us": "higher-is-worse",
-    "serving_latency_ms": "higher-is-worse",
-    "throughput_items_per_s": "lower-is-worse",
-    "usd_per_million_queries": "higher-is-worse",
+    "latency_us": HIGHER,
+    "serving_latency_ms": HIGHER,
+    "throughput_items_per_s": LOWER,
+    "usd_per_million_queries": HIGHER,
 }
 
 #: Serving-lab metrics (schema v2) compared when both artifacts carry a
 #: ``serving`` block: SLA capacity per arrival process (the highest rate
 #: whose judged tail met the SLO) and the SLA-sized fleet's node count.
 SERVING_METRICS = {
-    "sla_capacity_per_s": "lower-is-worse",
-    "sla_nodes": "higher-is-worse",
+    "sla_capacity_per_s": LOWER,
+    "sla_nodes": HIGHER,
 }
 
-#: Routed-cluster metrics (schema v3) compared when both artifacts carry
-#: a non-null ``cluster`` block: blended tail latency, SLA attainment,
-#: and the fleet's operating cost per million queries.
-CLUSTER_METRICS = {
-    "p99_ms": "higher-is-worse",
-    "sla_attainment": "lower-is-worse",
-    "usd_per_million_queries": "higher-is-worse",
-}
 
-#: Elastic-fleet metrics (schema v4) compared when both artifacts carry
-#: a non-null ``autoscale`` block: blended fleet size, cost, and the
-#: horizon's SLA attainment.
-AUTOSCALE_METRICS = {
-    "mean_nodes": "higher-is-worse",
-    "usd_per_hour": "higher-is-worse",
-    "usd_per_million_queries": "higher-is-worse",
-    "sla_attainment": "lower-is-worse",
-}
+def _peak(points: list[dict]) -> dict:
+    """The curve point at the heaviest measured load."""
+    return max(points, key=lambda point: point["rate_per_s"])
 
-#: Sharded-fleet metrics (schema v5) compared when both artifacts carry
-#: a non-null ``sharding`` block: blended fan-out tail latency, SLA
-#: attainment, the plan's lookup fan-out, and peak node occupancy.
-SHARDING_METRICS = {
-    "p99_ms": "higher-is-worse",
-    "sla_attainment": "lower-is-worse",
-    "fanout": "higher-is-worse",
-    "max_node_utilisation": "higher-is-worse",
-}
 
-#: Tiered-storage metrics (schema v7) compared when both artifacts carry
-#: a non-null ``tiering`` block: steady-state hot-tier hit rate and the
-#: warm and cold serving tails at the heaviest swept load.
-TIERING_METRICS = {
-    "hit_rate": "lower-is-worse",
-    "warm_p99_ms": "higher-is-worse",
-    "cold_p99_ms": "higher-is-worse",
-}
+def _first(rates: dict[str, float]) -> float:
+    """The first entry: the hierarchy's fastest (hot) tier leads the map."""
+    return next(iter(rates.values()))
 
-#: Telemetry-plane metrics (schema v8) compared when both artifacts
-#: carry a non-null ``telemetry`` block: the digest-estimated routed
-#: tails, the spill share off the primary tier, and (when the tiering
-#: block also ran) the hot tier's counted hit rate.  A drifting digest
-#: or a mis-counted dispatch moves these even when the underlying
-#: serving numbers hold still.
-TELEMETRY_METRICS = {
-    "digest_p99_ms": "higher-is-worse",
-    "digest_p999_ms": "higher-is-worse",
-    "spill_share": "higher-is-worse",
-    "hot_hit_rate": "lower-is-worse",
-}
 
-#: Every compared metric's regression direction
-#: (perf + serving + cluster + autoscale + sharding + tiering +
-#: telemetry).
-ALL_METRIC_DIRECTIONS = {
-    **METRICS,
-    **SERVING_METRICS,
-    **CLUSTER_METRICS,
-    **AUTOSCALE_METRICS,
-    **SHARDING_METRICS,
-    **TIERING_METRICS,
-    **TELEMETRY_METRICS,
+#: Metrics compared per optional top-level block when both artifacts
+#: carry it non-null: block -> (regression label, metric -> (path inside
+#: the block, direction)).  A path step is a key, or a function picking
+#: one entry out of a list or map.
+BLOCK_METRICS = {
+    # Routed cluster (v3): blended tail latency, SLA attainment, and the
+    # fleet's operating cost per million queries.
+    "cluster": ("cluster/routed", {
+        "p99_ms": (("result", "blended", "p99_ms"), HIGHER),
+        "sla_attainment": (("result", "blended", "sla_attainment"), LOWER),
+        "usd_per_million_queries": (
+            ("result", "usd_per_million_queries"), HIGHER
+        ),
+    }),
+    # Elastic fleet (v4): blended fleet size, cost, and the horizon's SLA
+    # attainment.
+    "autoscale": ("autoscale/elastic", {
+        "mean_nodes": (("result", "aggregate", "mean_nodes"), HIGHER),
+        "usd_per_hour": (("result", "aggregate", "usd_per_hour"), HIGHER),
+        "usd_per_million_queries": (
+            ("result", "aggregate", "usd_per_million_queries"), HIGHER
+        ),
+        "sla_attainment": (("result", "aggregate", "sla_attainment"), LOWER),
+    }),
+    # Sharded fleet (v5): blended fan-out tail latency, SLA attainment,
+    # the plan's lookup fan-out, and peak node occupancy.
+    "sharding": ("sharding/fan-out", {
+        "p99_ms": (("result", "blended", "p99_ms"), HIGHER),
+        "sla_attainment": (("result", "blended", "sla_attainment"), LOWER),
+        "fanout": (("plan", "fanout"), HIGHER),
+        "max_node_utilisation": (("plan", "max_node_utilisation"), HIGHER),
+    }),
+    # Tiered storage (v7): steady-state hot-tier hit rate and the warm
+    # and cold serving tails at the heaviest swept load, where cache
+    # state matters most (rather than averaged across the sweep).
+    "tiering": ("tiering/tiered", {
+        "hit_rate": (("steady_state", "hit_rate"), LOWER),
+        "warm_p99_ms": (("warm", "points", _peak, "p99_ms"), HIGHER),
+        "cold_p99_ms": (("cold", "points", _peak, "p99_ms"), HIGHER),
+    }),
+    # Telemetry plane (v8): the digest-estimated routed tails, the spill
+    # share off the primary tier, and (when the tiering block also ran)
+    # the hot tier's counted hit rate, the one cache-sizing decisions
+    # watch.  A drifting digest or a mis-counted dispatch moves these
+    # even when the underlying serving numbers hold still.
+    "telemetry": ("telemetry/observed", {
+        "digest_p99_ms": (("latency_ms", "p99"), HIGHER),
+        "digest_p999_ms": (("latency_ms", "p999"), HIGHER),
+        "spill_share": (("spill_share",), HIGHER),
+        "hot_hit_rate": (("tier_hit_rates", _first), LOWER),
+    }),
 }
 
 
@@ -124,119 +135,50 @@ def _serving_metrics(result: dict) -> dict[str, float]:
     return out
 
 
-def _direction(metric: str) -> str:
-    base = metric.split(":", 1)[0]
-    return ALL_METRIC_DIRECTIONS[base]
+def _record(before: float | None, after: float | None) -> dict[str, object]:
+    """Old and new value with the signed percentage change.
 
-
-def _delta(before: float, after: float) -> float | None:
-    """Signed percentage change; None when the baseline is zero."""
-    if before == 0:
-        return 0.0 if after == 0 else None
-    return (after - before) / before * 100.0
-
-
-def _cluster_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's cluster block into comparable scalars."""
-    cluster = payload.get("cluster")
-    if not isinstance(cluster, dict):
-        return None
-    result = cluster["result"]
-    return {
-        "p99_ms": result["blended"]["p99_ms"],
-        "sla_attainment": result["blended"]["sla_attainment"],
-        "usd_per_million_queries": result["usd_per_million_queries"],
-    }
-
-
-def _sharding_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's sharding block into comparable scalars."""
-    sharding = payload.get("sharding")
-    if not isinstance(sharding, dict):
-        return None
-    blended = sharding["result"]["blended"]
-    plan = sharding["plan"]
-    return {
-        "p99_ms": blended["p99_ms"],
-        "sla_attainment": blended["sla_attainment"],
-        "fanout": plan["fanout"],
-        "max_node_utilisation": plan["max_node_utilisation"],
-    }
-
-
-def _tiering_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's tiering block into comparable scalars.
-
-    The warm/cold tails are read at each curve's heaviest measured load —
-    the point where cache state matters most — rather than averaged
-    across the sweep.
+    ``delta_pct`` is None when either side is missing, or when the
+    baseline is zero and the new value is not.
     """
-    tiering = payload.get("tiering")
-    if not isinstance(tiering, dict):
-        return None
-    warm = max(tiering["warm"]["points"], key=lambda p: p["rate_per_s"])
-    cold = max(tiering["cold"]["points"], key=lambda p: p["rate_per_s"])
-    return {
-        "hit_rate": tiering["steady_state"]["hit_rate"],
-        "warm_p99_ms": warm["p99_ms"],
-        "cold_p99_ms": cold["p99_ms"],
-    }
+    if before is None or after is None:
+        delta = None
+    elif before == 0:
+        delta = 0.0 if after == 0 else None
+    else:
+        delta = (after - before) / before * 100.0
+    return {"old": before, "new": after, "delta_pct": delta}
 
 
-def _telemetry_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's telemetry block into comparable scalars.
-
-    ``hot_hit_rate`` is present only when the block carried tier hit
-    rates (the sweep's tiering block was enabled); the comparison then
-    diffs the intersection of both sides' metrics, so a one-sided hit
-    rate degrades to absent rather than failing.
-    """
-    telemetry = payload.get("telemetry")
-    if not isinstance(telemetry, dict):
-        return None
-    out = {
-        "digest_p99_ms": telemetry["latency_ms"]["p99"],
-        "digest_p999_ms": telemetry["latency_ms"]["p999"],
-        "spill_share": telemetry["spill_share"],
-    }
-    hit_rates = telemetry.get("tier_hit_rates")
-    if isinstance(hit_rates, dict) and hit_rates:
-        # The hierarchy's fastest tier leads the hit-rate map; its rate
-        # is the one cache-sizing decisions watch.
-        out["hot_hit_rate"] = next(iter(hit_rates.values()))
-    return out
-
-
-def _autoscale_metrics(payload: dict) -> dict[str, float] | None:
-    """Flatten a payload's autoscale block into comparable scalars."""
-    autoscale = payload.get("autoscale")
-    if not isinstance(autoscale, dict):
-        return None
-    aggregate = autoscale["result"]["aggregate"]
-    return {metric: aggregate[metric] for metric in AUTOSCALE_METRICS}
+def _read(block: dict, path: tuple) -> float | None:
+    """Follow ``path`` into ``block``; None where it crosses a null."""
+    value = block
+    for step in path:
+        if value is None:
+            return None
+        value = step(value) if callable(step) else value[step]
+    return value
 
 
 def _block_deltas(
-    old: dict[str, float] | None,
-    new: dict[str, float] | None,
-    metrics: dict[str, str],
+    old: dict | None, new: dict | None, metrics: dict[str, tuple]
 ) -> dict[str, object] | None:
     """Old/new/delta records for one optional top-level block.
 
     ``None`` when either payload lacks the block — sweeps legitimately
-    disable the cluster/autoscale blocks, and a one-sided block cannot
-    be diffed.
+    disable every optional block, and a one-sided block cannot be
+    diffed.  A metric is compared only when both sides carry it: a path
+    crossing a null (telemetry's ``hot_hit_rate`` when the sweep ran
+    without the tiering block) degrades to absent rather than failing.
     """
     if old is None or new is None:
         return None
-    return {
-        metric: {
-            "old": old[metric],
-            "new": new[metric],
-            "delta_pct": _delta(old[metric], new[metric]),
-        }
-        for metric in metrics
-    }
+    deltas = {}
+    for metric, (path, _) in metrics.items():
+        before, after = _read(old, path), _read(new, path)
+        if before is not None and after is not None:
+            deltas[metric] = _record(before, after)
+    return deltas
 
 
 def _by_pair(payload: dict) -> dict[tuple[str, str], dict]:
@@ -244,36 +186,6 @@ def _by_pair(payload: dict) -> dict[tuple[str, str], dict]:
         (result["model"], result["backend"]): result
         for result in payload["results"]
     }
-
-
-def _wall_clock_entries(
-    old_pairs: dict[tuple[str, str], dict],
-    new_pairs: dict[tuple[str, str], dict],
-    scale: float,
-) -> list[dict[str, object]]:
-    """Budget-vs-measured wall-clock records (schema v6).
-
-    One record per shared pair whose *baseline* result carries a
-    ``wall_clock_budget_s`` ceiling; the fresh run's measured
-    ``wall_clock_s`` is judged against ``scale x budget``.  Budgets are
-    opt-in, so unbudgeted pairs simply produce no record.
-    """
-    entries = []
-    for key in sorted(old_pairs.keys() & new_pairs.keys()):
-        budget = old_pairs[key].get("wall_clock_budget_s")
-        if budget is None:
-            continue
-        measured = new_pairs[key]["wall_clock_s"]
-        entries.append(
-            {
-                "model": key[0],
-                "backend": key[1],
-                "wall_clock_s": measured,
-                "budget_s": budget * scale,
-                "within_budget": measured <= budget * scale,
-            }
-        )
-    return entries
 
 
 def compare_payloads(
@@ -299,77 +211,49 @@ def compare_payloads(
     validate_payload(new)
     old_pairs = _by_pair(old)
     new_pairs = _by_pair(new)
-    old_telemetry = _telemetry_metrics(old)
-    new_telemetry = _telemetry_metrics(new)
-    entries = []
+    entries, wall_clock = [], []
     for key in sorted(old_pairs.keys() & new_pairs.keys()):
-        old_perf = old_pairs[key]["perf"]
-        new_perf = new_pairs[key]["perf"]
-        deltas = {}
-        for metric in METRICS:
-            before, after = old_perf[metric], new_perf[metric]
-            deltas[metric] = {
-                "old": before,
-                "new": after,
-                "delta_pct": _delta(before, after),
-            }
-        old_serving = _serving_metrics(old_pairs[key])
-        new_serving = _serving_metrics(new_pairs[key])
+        old_result, new_result = old_pairs[key], new_pairs[key]
+        deltas = {
+            metric: _record(old_result["perf"][metric],
+                            new_result["perf"][metric])
+            for metric in METRICS
+        }
+        old_serving = _serving_metrics(old_result)
+        new_serving = _serving_metrics(new_result)
         for metric in sorted(old_serving.keys() | new_serving.keys()):
-            before = old_serving.get(metric)
-            after = new_serving.get(metric)
             # A metric present on only one side is itself a signal: the
             # SLA fleet plan going null (SLO newly unattainable) must
             # surface as a delta, not vanish from the comparison.
-            deltas[metric] = {
-                "old": before,
-                "new": after,
-                "delta_pct": (
-                    _delta(before, after)
-                    if before is not None and after is not None
-                    else None
-                ),
-            }
+            deltas[metric] = _record(
+                old_serving.get(metric), new_serving.get(metric)
+            )
         entries.append(
             {"model": key[0], "backend": key[1], "metrics": deltas}
         )
+        # Budgets are opt-in: only a pair whose *baseline* result carries
+        # a ceiling gets a record, judging the fresh run's measured wall
+        # clock against the scaled budget.
+        budget = old_result.get("wall_clock_budget_s")
+        if budget is not None:
+            ceiling = budget * wall_clock_budget_scale
+            wall_clock.append({
+                "model": key[0],
+                "backend": key[1],
+                "wall_clock_s": new_result["wall_clock_s"],
+                "budget_s": ceiling,
+                "within_budget": new_result["wall_clock_s"] <= ceiling,
+            })
     return {
         "baseline_name": old["name"],
         "entries": entries,
-        "cluster": _block_deltas(
-            _cluster_metrics(old), _cluster_metrics(new), CLUSTER_METRICS
-        ),
-        "autoscale": _block_deltas(
-            _autoscale_metrics(old),
-            _autoscale_metrics(new),
-            AUTOSCALE_METRICS,
-        ),
-        "sharding": _block_deltas(
-            _sharding_metrics(old),
-            _sharding_metrics(new),
-            SHARDING_METRICS,
-        ),
-        "tiering": _block_deltas(
-            _tiering_metrics(old),
-            _tiering_metrics(new),
-            TIERING_METRICS,
-        ),
-        "telemetry": _block_deltas(
-            old_telemetry,
-            new_telemetry,
-            {
-                metric: direction
-                for metric, direction in TELEMETRY_METRICS.items()
-                if old_telemetry is None
-                or new_telemetry is None
-                or (metric in old_telemetry and metric in new_telemetry)
-            },
-        ),
+        **{
+            block: _block_deltas(old[block], new[block], metrics)
+            for block, (_, metrics) in BLOCK_METRICS.items()
+        },
         "wall_clock": {
             "budget_scale": wall_clock_budget_scale,
-            "entries": _wall_clock_entries(
-                old_pairs, new_pairs, wall_clock_budget_scale
-            ),
+            "entries": wall_clock,
         },
         "removed": sorted(
             f"{m}/{b}" for m, b in old_pairs.keys() - new_pairs.keys()
@@ -397,22 +281,20 @@ def regressions(
                 f"{record['wall_clock_s']:.3f}s exceeds budget "
                 f"{record['budget_s']:.3f}s"
             )
-    entries = list(comparison["entries"])
-    for block, (model, backend) in {
-        "cluster": ("cluster", "routed"),
-        "autoscale": ("autoscale", "elastic"),
-        "sharding": ("sharding", "fan-out"),
-        "tiering": ("tiering", "tiered"),
-        "telemetry": ("telemetry", "observed"),
-    }.items():
-        deltas = comparison.get(block)
-        if deltas:
-            entries.append(
-                {"model": model, "backend": backend, "metrics": deltas}
-            )
-    for entry in entries:
-        for metric, record in entry["metrics"].items():
-            direction = _direction(metric)
+    # (label, metric records, metric -> direction); a serving metric is
+    # named "<metric>:<process>".
+    pair_directions = {**METRICS, **SERVING_METRICS}
+    groups = [
+        (f"{e['model']}/{e['backend']}", e["metrics"], pair_directions)
+        for e in comparison["entries"]
+    ] + [
+        (label, comparison[block], {m: d for m, (_, d) in metrics.items()})
+        for block, (label, metrics) in BLOCK_METRICS.items()
+        if comparison.get(block)
+    ]
+    for label, records, directions in groups:
+        for metric, record in records.items():
+            direction = directions[metric.split(":", 1)[0]]
             before, after = record["old"], record["new"]
             delta = record["delta_pct"]
             if after is None:
@@ -426,18 +308,16 @@ def regressions(
                 # Baseline was zero, so no percentage exists; a metric
                 # growing off a zero baseline is a regression only when
                 # growth is the bad direction.
-                worse = direction == "higher-is-worse" and after > 0
+                worse = direction == HIGHER and after > 0
                 moved = "appeared"
             else:
-                worse = delta > threshold_pct if direction == "higher-is-worse" \
+                worse = delta > threshold_pct if direction == HIGHER \
                     else delta < -threshold_pct
                 moved = f"{'rose' if delta > 0 else 'fell'} {abs(delta):.1f}%"
             if worse:
                 old_text = "-" if before is None else f"{before:.6g}"
                 new_text = "-" if after is None else f"{after:.6g}"
                 lines.append(
-                    f"{entry['model']}/{entry['backend']}: {metric} "
-                    f"{moved} "
-                    f"({old_text} -> {new_text})"
+                    f"{label}: {metric} {moved} ({old_text} -> {new_text})"
                 )
     return lines

@@ -2,9 +2,12 @@
 
 One schema version covers one shape of payload; consumers (the CI
 ``bench-smoke`` job, ``repro bench --compare``, plotting scripts) refuse
-anything else.  The validator is hand-rolled — it needs to run from a bare
-``numpy``-only install, so no ``jsonschema`` dependency — and reports the
-JSON path of the first offending field.
+anything else.  :data:`PAYLOAD` is the one place that shape is declared:
+a tree of spec nodes (:class:`Str`, :class:`Num`, :class:`Obj`, ...)
+checked by a single walker that reports the JSON path of the first
+offending field.  Adding a field is one spec line, plus a
+:data:`SCHEMA_VERSION` bump when a consumer could break.  There is no
+``jsonschema`` dependency: a bare ``numpy``-only install can validate.
 
 Run as a module to validate a file (the CI job does exactly this)::
 
@@ -15,8 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 #: Version of the payload shape documented here.  Bump on any change that
 #: could break a consumer: removed/renamed keys, changed types or units.
@@ -56,686 +61,467 @@ SCHEMA_VERSION = 8
 #: JSON a pipeline might hand the validator.
 SUITE = "repro-bench"
 
-#: Numeric fields every ``perf`` record must carry, all strictly positive
-#: (mirrors :class:`repro.runtime.perf.PerfEstimate`).
-PERF_POSITIVE_FIELDS = (
-    "latency_us",
-    "serving_latency_ms",
-    "ii_ns",
-    "throughput_items_per_s",
-    "throughput_gops",
-    "serving_batch",
-    "usd_per_hour",
-    "usd_per_million_queries",
-)
-
-#: Numeric fields every ``fleet`` record must carry, all strictly positive
-#: (mirrors :class:`repro.deploy.capacity.FleetPlan.as_dict`).
-FLEET_POSITIVE_FIELDS = (
-    "target_qps",
-    "nodes",
-    "per_node_qps",
-    "fleet_qps",
-    "usd_per_hour",
-    "usd_per_million_queries",
-    "latency_ms",
-    "utilisation",
-)
-
-#: Numeric fields every latency-under-load curve point must carry, all
-#: strictly positive (mirrors :class:`repro.serving.lab.LoadPoint`).
-POINT_POSITIVE_FIELDS = (
-    "rate_per_s",
-    "utilisation",
-    "queries",
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "p999_ms",
-    "tail_ms",
-    "achieved_qps",
-)
-
 
 class BenchSchemaError(ValueError):
     """A payload does not conform to the benchmark artifact schema."""
+
+
+@dataclass(frozen=True)
+class Const:
+    """Exactly ``value``; a bool never passes (``True == 1`` in Python)."""
+
+    value: object
+
+
+@dataclass(frozen=True)
+class Str:
+    """A string; ``empty_ok`` admits "" (a knob that disables a block)."""
+
+    empty_ok: bool = False
+
+
+@dataclass(frozen=True)
+class Bool:
+    """A JSON boolean."""
+
+
+@dataclass(frozen=True)
+class Num:
+    """A finite number, never a bool, bounded ``> gt``, ``>= ge``, ``<= le``.
+
+    ``json.load`` happily parses bare NaN/Infinity, and NaN sails through
+    every bound check, so non-finite values are rejected outright: the CI
+    gate (and ``--compare``'s delta arithmetic) can trust the artifact.
+    """
+
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+
+
+@dataclass(frozen=True)
+class Int:
+    """An integer, never a bool, of at least ``minimum`` (None: unbounded)."""
+
+    minimum: int | None = 0
+
+
+@dataclass(frozen=True)
+class Nullable:
+    """Null, or a value matching ``node``."""
+
+    node: Node
+
+
+@dataclass(frozen=True)
+class List:
+    """At least ``min_len`` items matching ``item``; the combined value of
+    the ``unique`` item fields may occur only once."""
+
+    item: Node
+    min_len: int = 1
+    unique: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Map:
+    """A non-empty object of named entries (tiers, processes, batches):
+    keys fully match ``key`` (else fail with ``key_rule``), values match
+    ``value``."""
+
+    value: Node
+    key: str = ".+"
+    key_rule: str = "keys must be non-empty strings"
+
+
+@dataclass(frozen=True)
+class Obj:
+    """An object with ``required`` then ``optional`` fields, in order.
+
+    Extra keys are allowed everywhere: the schema pins what consumers
+    rely on, not what producers may add.  ``check`` is a rule across
+    fields, run after them.
+    """
+
+    required: dict[str, Node]
+    optional: dict[str, Node] = field(default_factory=dict)
+    check: Callable[[dict, str], None] | None = None
+
+
+Node = Const | Str | Bool | Num | Int | Nullable | List | Map | Obj
+
+POSITIVE = Num(gt=0)
+NON_NEGATIVE = Num(ge=0)
+FRACTION = Num(ge=0, le=1)
+NAMES = List(Str())
+
+
+def _each(node: Node, *names: str) -> dict[str, Node]:
+    """Fields ``names``, in order, all matching ``node``."""
+    return dict.fromkeys(names, node)
 
 
 def _fail(path: str, message: str) -> None:
     raise BenchSchemaError(f"{path}: {message}")
 
 
-def _get(obj: dict, path: str, key: str) -> object:
-    if key not in obj:
-        _fail(f"{path}.{key}", "missing required key")
-    return obj[key]
+def _walk(node: Node, value: object, path: str) -> None:
+    """Check ``value`` against ``node``; raise naming the first bad path."""
+    if isinstance(node, Obj):
+        if not isinstance(value, dict):
+            _fail(path, f"expected an object, got {value!r}")
+        for key, child in node.required.items():
+            if key not in value:
+                _fail(f"{path}.{key}", "missing required key")
+            _walk(child, value[key], f"{path}.{key}")
+        for key, child in node.optional.items():
+            if key in value:
+                _walk(child, value[key], f"{path}.{key}")
+        if node.check is not None:
+            node.check(value, path)
+    elif isinstance(node, List):
+        if not isinstance(value, list) or len(value) < node.min_len:
+            _fail(path, f"expected a list of >= {node.min_len}, got {value!r}")
+        seen: set[tuple] = set()
+        for i, item in enumerate(value):
+            _walk(node.item, item, f"{path}[{i}]")
+            if node.unique:
+                key = tuple(item[name] for name in node.unique)
+                if key in seen:
+                    fields = ", ".join(node.unique)
+                    _fail(f"{path}[{i}]", f"duplicate ({fields}) entry {key!r}")
+                seen.add(key)
+    elif isinstance(node, Map):
+        if not isinstance(value, dict) or not value:
+            _fail(path, f"expected a non-empty object, got {value!r}")
+        for key, item in value.items():
+            if not isinstance(key, str) or not re.fullmatch(
+                node.key, key, re.DOTALL
+            ):
+                _fail(path, f"{node.key_rule}, got {key!r}")
+            _walk(node.value, item, f"{path}.{key}")
+    elif isinstance(node, Nullable):
+        if value is not None:
+            _walk(node.node, value, path)
+    elif isinstance(node, Num):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            _fail(path, f"expected a finite number, got {value!r}")
+        if node.gt is not None and value <= node.gt:
+            _fail(path, f"expected > {node.gt}, got {value!r}")
+        if node.ge is not None and value < node.ge:
+            _fail(path, f"expected >= {node.ge}, got {value!r}")
+        if node.le is not None and value > node.le:
+            _fail(path, f"expected <= {node.le}, got {value!r}")
+    elif isinstance(node, Int):
+        bounded = node.minimum is not None
+        if isinstance(value, bool) or not isinstance(value, int) or (
+            bounded and value < node.minimum
+        ):
+            rule = f" >= {node.minimum}" if bounded else ""
+            _fail(path, f"expected an integer{rule}, got {value!r}")
+    elif isinstance(node, Str):
+        if not isinstance(value, str) or not (value or node.empty_ok):
+            kind = "string" if node.empty_ok else "non-empty string"
+            _fail(path, f"expected a {kind}, got {value!r}")
+    elif isinstance(node, Bool):
+        if not isinstance(value, bool):
+            _fail(path, f"expected a boolean, got {value!r}")
+    elif isinstance(node, Const):
+        if isinstance(value, bool) or value != node.value:
+            _fail(path, f"expected {node.value!r}, got {value!r}")
 
 
-def _check_str(obj: dict, path: str, key: str) -> str:
-    value = _get(obj, path, key)
-    if not isinstance(value, str) or not value:
-        _fail(f"{path}.{key}", f"expected a non-empty string, got {value!r}")
-    return value
+#: The sweep's knobs, echoed for provenance.
+CONFIG = Obj({
+    "models": NAMES,
+    "backends": NAMES,
+    "batches": List(Int(minimum=1)),
+    "max_rows": Nullable(Int(minimum=1)),
+    "seed": Int(minimum=None),
+    "quick": Bool(),
+    "target_qps": POSITIVE,
+    "slo_ms": POSITIVE,
+    "serve_duration_s": POSITIVE,
+    "serve_processes": NAMES,
+    "serve_utilisations": List(POSITIVE),
+    # v3-v8 block knobs: an empty value (false for telemetry) means the
+    # sweep disabled that block, whose top-level key must then be null.
+    "cluster_backends": List(Str(), min_len=0),
+    "cluster_router": Str(),
+    "cluster_utilisation": POSITIVE,
+    "autoscale_policy": Str(empty_ok=True),
+    "autoscale_windows": Int(minimum=1),
+    "sharding_strategy": Str(empty_ok=True),
+    "sharding_nodes": Int(minimum=1),
+    "sharding_node_gb": POSITIVE,
+    "tiering_policy": Str(empty_ok=True),
+    "tiering_alpha": NON_NEGATIVE,
+    "tiering_hot_fraction": POSITIVE,
+    "telemetry": Bool(),
+})
+
+#: Mirrors :class:`repro.runtime.perf.PerfEstimate`.
+PERF = Obj({
+    **_each(Str(), "backend", "precision", "bottleneck"),
+    **_each(POSITIVE, "latency_us", "serving_latency_ms", "ii_ns",
+            "throughput_items_per_s", "throughput_gops", "serving_batch",
+            "usd_per_hour", "usd_per_million_queries"),
+})
+
+#: Mirrors :meth:`repro.deploy.capacity.FleetPlan.as_dict`.
+FLEET = Obj({
+    "engine": Str(),
+    **_each(POSITIVE, "target_qps", "nodes", "per_node_qps", "fleet_qps",
+            "usd_per_hour", "usd_per_million_queries", "latency_ms",
+            "utilisation"),
+})
+
+#: A latency-under-load curve; points mirror
+#: :class:`repro.serving.lab.LoadPoint`.
+CURVE = Obj({
+    "backend": Str(),
+    "process": Str(),
+    **_each(POSITIVE, "slo_ms", "slo_percentile", "duration_s"),
+    "sla_capacity_per_s": NON_NEGATIVE,
+    "knee_rate_per_s": Nullable(POSITIVE),
+    "points": List(Obj({
+        **_each(POSITIVE, "rate_per_s", "utilisation", "queries", "mean_ms",
+                "p50_ms", "p95_ms", "p99_ms", "p999_ms", "tail_ms",
+                "achieved_qps"),
+        "sla_attainment": FRACTION,
+        "meets_slo": Bool(),
+    })),
+})
+
+#: The v2 latency-under-load block: curves per process + SLA fleet.
+SERVING = Obj({
+    **_each(POSITIVE, "slo_ms", "slo_percentile", "duration_s"),
+    "processes": Map(CURVE),
+    # null means the SLO sits below the engine's latency floor — no
+    # fleet size can meet it, which is a legitimate lab result.
+    "fleet_sla": Nullable(Obj({
+        **FLEET.required,
+        **_each(POSITIVE, "slo_ms", "slo_percentile"),
+        "process": Str(),
+        "throughput_only_nodes": Int(minimum=1),
+        "observed_tail_ms": NON_NEGATIVE,
+        "sla_attainment": FRACTION,
+        "slo_bound": Bool(),
+    })),
+})
+
+#: Latency statistics only exist for cluster tiers that served queries.
+SERVED_TIER = Obj({
+    **_each(POSITIVE, "p50_ms", "p99_ms", "p999_ms"),
+    "sla_attainment": FRACTION,
+})
 
 
-def _check_number(
-    obj: dict, path: str, key: str, *, minimum: float | None = None,
-    exclusive: bool = False,
-) -> float:
-    value = _get(obj, path, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-    # json.load happily parses bare NaN/Infinity, and NaN sails through
-    # every comparison below — reject non-finite values outright so the
-    # CI gate (and --compare's delta arithmetic) can trust the artifact.
-    if not math.isfinite(value):
-        _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            _fail(f"{path}.{key}", f"expected > {minimum}, got {value!r}")
-        if not exclusive and value < minimum:
-            _fail(f"{path}.{key}", f"expected >= {minimum}, got {value!r}")
-    return float(value)
-
-
-def _check_str_list(obj: dict, path: str, key: str) -> list[str]:
-    value = _get(obj, path, key)
-    if not isinstance(value, list) or not value:
-        _fail(f"{path}.{key}", f"expected a non-empty list, got {value!r}")
-    for i, item in enumerate(value):
-        if not isinstance(item, str) or not item:
-            _fail(f"{path}.{key}[{i}]", f"expected a string, got {item!r}")
-    return value
-
-
-#: Numeric fields the cluster block's blended record must carry, all
-#: strictly positive (mirrors
-#: :meth:`repro.cluster.cluster.ClusterServingResult.as_dict`).
-CLUSTER_BLENDED_POSITIVE_FIELDS = (
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "p999_ms",
-    "achieved_qps",
-)
-
-
-def _check_config(config: object, path: str) -> None:
-    if not isinstance(config, dict):
-        _fail(path, f"expected an object, got {config!r}")
-    _check_str_list(config, path, "models")
-    _check_str_list(config, path, "backends")
-    batches = _get(config, path, "batches")
-    if not isinstance(batches, list) or not batches:
-        _fail(f"{path}.batches", f"expected a non-empty list, got {batches!r}")
-    for i, batch in enumerate(batches):
-        if isinstance(batch, bool) or not isinstance(batch, int) or batch <= 0:
-            _fail(
-                f"{path}.batches[{i}]",
-                f"expected a positive integer, got {batch!r}",
-            )
-    max_rows = _get(config, path, "max_rows")
-    if max_rows is not None and (
-        isinstance(max_rows, bool)
-        or not isinstance(max_rows, int)
-        or max_rows <= 0
-    ):
-        _fail(
-            f"{path}.max_rows",
-            f"expected null or a positive integer, got {max_rows!r}",
-        )
-    seed = _get(config, path, "seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail(f"{path}.seed", f"expected an integer, got {seed!r}")
-    quick = _get(config, path, "quick")
-    if not isinstance(quick, bool):
-        _fail(f"{path}.quick", f"expected a boolean, got {quick!r}")
-    _check_number(config, path, "target_qps", minimum=0, exclusive=True)
-    _check_number(config, path, "slo_ms", minimum=0, exclusive=True)
-    _check_number(config, path, "serve_duration_s", minimum=0, exclusive=True)
-    _check_str_list(config, path, "serve_processes")
-    utilisations = _get(config, path, "serve_utilisations")
-    if not isinstance(utilisations, list) or not utilisations:
-        _fail(
-            f"{path}.serve_utilisations",
-            f"expected a non-empty list, got {utilisations!r}",
-        )
-    for i, u in enumerate(utilisations):
-        if isinstance(u, bool) or not isinstance(u, (int, float)) or u <= 0:
-            _fail(
-                f"{path}.serve_utilisations[{i}]",
-                f"expected a positive number, got {u!r}",
-            )
-    # v3 cluster knobs: an empty backend list means the sweep disabled
-    # the cluster block (and ``$.cluster`` must then be null).
-    cluster_backends = _get(config, path, "cluster_backends")
-    if not isinstance(cluster_backends, list):
-        _fail(
-            f"{path}.cluster_backends",
-            f"expected a list, got {cluster_backends!r}",
-        )
-    for i, item in enumerate(cluster_backends):
-        if not isinstance(item, str) or not item:
-            _fail(
-                f"{path}.cluster_backends[{i}]",
-                f"expected a string, got {item!r}",
-            )
-    _check_str(config, path, "cluster_router")
-    _check_number(
-        config, path, "cluster_utilisation", minimum=0, exclusive=True
-    )
-    # v4 autoscale knobs: an empty policy string means the sweep disabled
-    # the autoscale block (and ``$.autoscale`` must then be null).
-    policy = _get(config, path, "autoscale_policy")
-    if not isinstance(policy, str):
-        _fail(
-            f"{path}.autoscale_policy",
-            f"expected a string, got {policy!r}",
-        )
-    _check_int(config, path, "autoscale_windows", minimum=1)
-    # v5 sharding knobs: an empty strategy string means the sweep
-    # disabled the sharding block (and ``$.sharding`` must then be null).
-    strategy = _get(config, path, "sharding_strategy")
-    if not isinstance(strategy, str):
-        _fail(
-            f"{path}.sharding_strategy",
-            f"expected a string, got {strategy!r}",
-        )
-    _check_int(config, path, "sharding_nodes", minimum=1)
-    _check_number(
-        config, path, "sharding_node_gb", minimum=0, exclusive=True
-    )
-    # v7 tiering knobs: an empty policy string means the sweep disabled
-    # the tiering block (and ``$.tiering`` must then be null).
-    tiering_policy = _get(config, path, "tiering_policy")
-    if not isinstance(tiering_policy, str):
-        _fail(
-            f"{path}.tiering_policy",
-            f"expected a string, got {tiering_policy!r}",
-        )
-    _check_number(config, path, "tiering_alpha", minimum=0)
-    _check_number(
-        config, path, "tiering_hot_fraction", minimum=0, exclusive=True
-    )
-    # v8 telemetry knob: false means the sweep disabled the telemetry
-    # block (and ``$.telemetry`` must then be null).
-    telemetry = _get(config, path, "telemetry")
-    if not isinstance(telemetry, bool):
-        _fail(
-            f"{path}.telemetry",
-            f"expected a boolean, got {telemetry!r}",
-        )
-
-
-def _check_perf(perf: object, path: str) -> None:
-    if not isinstance(perf, dict):
-        _fail(path, f"expected an object, got {perf!r}")
-    _check_str(perf, path, "backend")
-    _check_str(perf, path, "precision")
-    _check_str(perf, path, "bottleneck")
-    for key in PERF_POSITIVE_FIELDS:
-        _check_number(perf, path, key, minimum=0, exclusive=True)
-
-
-def _check_fleet(fleet: object, path: str) -> None:
-    if not isinstance(fleet, dict):
-        _fail(path, f"expected an object, got {fleet!r}")
-    _check_str(fleet, path, "engine")
-    for key in FLEET_POSITIVE_FIELDS:
-        _check_number(fleet, path, key, minimum=0, exclusive=True)
-
-
-def _check_bool(obj: dict, path: str, key: str) -> bool:
-    value = _get(obj, path, key)
-    if not isinstance(value, bool):
-        _fail(f"{path}.{key}", f"expected a boolean, got {value!r}")
-    return value
-
-
-def _check_fraction(obj: dict, path: str, key: str) -> float:
-    value = _check_number(obj, path, key, minimum=0)
-    if value > 1:
-        _fail(f"{path}.{key}", f"expected a fraction in [0, 1], got {value!r}")
-    return value
-
-
-def _check_point(point: object, path: str) -> None:
-    if not isinstance(point, dict):
-        _fail(path, f"expected an object, got {point!r}")
-    for key in POINT_POSITIVE_FIELDS:
-        _check_number(point, path, key, minimum=0, exclusive=True)
-    _check_fraction(point, path, "sla_attainment")
-    _check_bool(point, path, "meets_slo")
-
-
-def _check_curve(curve: object, path: str) -> None:
-    if not isinstance(curve, dict):
-        _fail(path, f"expected an object, got {curve!r}")
-    _check_str(curve, path, "backend")
-    _check_str(curve, path, "process")
-    _check_number(curve, path, "slo_ms", minimum=0, exclusive=True)
-    _check_number(curve, path, "slo_percentile", minimum=0, exclusive=True)
-    _check_number(curve, path, "duration_s", minimum=0, exclusive=True)
-    _check_number(curve, path, "sla_capacity_per_s", minimum=0)
-    knee = _get(curve, path, "knee_rate_per_s")
-    if knee is not None:
-        _check_number(curve, path, "knee_rate_per_s", minimum=0, exclusive=True)
-    points = _get(curve, path, "points")
-    if not isinstance(points, list) or not points:
-        _fail(f"{path}.points", f"expected a non-empty list, got {points!r}")
-    for i, point in enumerate(points):
-        _check_point(point, f"{path}.points[{i}]")
-
-
-def _check_fleet_sla(fleet: object, path: str) -> None:
-    _check_fleet(fleet, path)
-    _check_number(fleet, path, "slo_ms", minimum=0, exclusive=True)
-    _check_number(fleet, path, "slo_percentile", minimum=0, exclusive=True)
-    _check_str(fleet, path, "process")
-    nodes = _get(fleet, path, "throughput_only_nodes")
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes <= 0:
-        _fail(
-            f"{path}.throughput_only_nodes",
-            f"expected a positive integer, got {nodes!r}",
-        )
-    _check_number(fleet, path, "observed_tail_ms", minimum=0)
-    _check_fraction(fleet, path, "sla_attainment")
-    _check_bool(fleet, path, "slo_bound")
-
-
-def _check_serving(serving: object, path: str) -> None:
-    """The v2 latency-under-load block: curves per process + SLA fleet."""
-    if not isinstance(serving, dict):
-        _fail(path, f"expected an object, got {serving!r}")
-    _check_number(serving, path, "slo_ms", minimum=0, exclusive=True)
-    _check_number(serving, path, "slo_percentile", minimum=0, exclusive=True)
-    _check_number(serving, path, "duration_s", minimum=0, exclusive=True)
-    processes = _get(serving, path, "processes")
-    if not isinstance(processes, dict) or not processes:
-        _fail(
-            f"{path}.processes",
-            f"expected a non-empty object, got {processes!r}",
-        )
-    for name, curve in processes.items():
-        if not isinstance(name, str) or not name:
-            _fail(f"{path}.processes", f"process keys must be strings, got {name!r}")
-        _check_curve(curve, f"{path}.processes.{name}")
-    fleet_sla = _get(serving, path, "fleet_sla")
-    if fleet_sla is not None:
-        # null means the SLO sits below the engine's latency floor — no
-        # fleet size can meet it, which is a legitimate lab result.
-        _check_fleet_sla(fleet_sla, f"{path}.fleet_sla")
-
-
-def _check_cluster_tier(tier: object, path: str) -> None:
-    if not isinstance(tier, dict):
-        _fail(path, f"expected an object, got {tier!r}")
-    for key in ("replicas", "queries"):
-        value = _get(tier, path, key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            _fail(
-                f"{path}.{key}",
-                f"expected a non-negative integer, got {value!r}",
-            )
+def _check_tier(tier: dict, path: str) -> None:
     if tier["replicas"] == 0:
         _fail(f"{path}.replicas", "expected >= 1 replica")
-    _check_fraction(tier, path, "share")
+    # An idle overflow tier legitimately carries counts alone.
     if tier["queries"] > 0:
-        # Latency statistics only exist for tiers that served queries;
-        # an idle overflow tier legitimately carries counts alone.
-        for key in ("p50_ms", "p99_ms", "p999_ms"):
-            _check_number(tier, path, key, minimum=0, exclusive=True)
-        _check_fraction(tier, path, "sla_attainment")
+        _walk(SERVED_TIER, tier, path)
 
 
-def _check_cluster_result(result: object, rpath: str) -> None:
-    """A blended + per-tier serving result (cluster and sharding blocks)."""
-    if not isinstance(result, dict):
-        _fail(rpath, f"expected an object, got {result!r}")
-    _check_str(result, rpath, "router")
-    queries = _get(result, rpath, "queries")
-    if isinstance(queries, bool) or not isinstance(queries, int) or queries <= 0:
-        _fail(
-            f"{rpath}.queries",
-            f"expected a positive integer, got {queries!r}",
-        )
-    blended = _get(result, rpath, "blended")
-    if not isinstance(blended, dict):
-        _fail(f"{rpath}.blended", f"expected an object, got {blended!r}")
-    for key in CLUSTER_BLENDED_POSITIVE_FIELDS:
-        _check_number(
-            blended, f"{rpath}.blended", key, minimum=0, exclusive=True
-        )
-    _check_fraction(blended, f"{rpath}.blended", "sla_attainment")
-    tiers = _get(result, rpath, "tiers")
-    if not isinstance(tiers, dict) or not tiers:
-        _fail(f"{rpath}.tiers", f"expected a non-empty object, got {tiers!r}")
-    for name, tier in tiers.items():
-        if not isinstance(name, str) or not name:
-            _fail(f"{rpath}.tiers", f"tier keys must be strings, got {name!r}")
-        _check_cluster_tier(tier, f"{rpath}.tiers.{name}")
-    _check_number(result, rpath, "usd_per_hour", minimum=0, exclusive=True)
-    _check_number(result, rpath, "usd_per_million_queries", minimum=0)
+#: A blended + per-tier serving result (mirrors
+#: :meth:`repro.cluster.cluster.ClusterServingResult.as_dict`).
+CLUSTER_RESULT = Obj({
+    "router": Str(),
+    "queries": Int(minimum=1),
+    "blended": Obj({
+        **_each(POSITIVE, "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms",
+                "achieved_qps"),
+        "sla_attainment": FRACTION,
+    }),
+    "tiers": Map(Obj(
+        {"replicas": Int(), "queries": Int(), "share": FRACTION},
+        check=_check_tier,
+    )),
+    "usd_per_hour": POSITIVE,
+    "usd_per_million_queries": NON_NEGATIVE,
+})
 
+#: The v3 routed-cluster block: blended + per-tier serving stats.
+CLUSTER = Obj({
+    "model": Str(),
+    "tiers": NAMES,
+    "router": Str(),
+    **_each(POSITIVE, "rate_per_s", "utilisation", "duration_s", "slo_ms"),
+    "result": CLUSTER_RESULT,
+})
 
-def _check_cluster(cluster: object, path: str) -> None:
-    """The v3 routed-cluster block: blended + per-tier serving stats."""
-    if not isinstance(cluster, dict):
-        _fail(path, f"expected an object, got {cluster!r}")
-    _check_str(cluster, path, "model")
-    _check_str_list(cluster, path, "tiers")
-    _check_str(cluster, path, "router")
-    _check_number(cluster, path, "rate_per_s", minimum=0, exclusive=True)
-    _check_number(cluster, path, "utilisation", minimum=0, exclusive=True)
-    _check_number(cluster, path, "duration_s", minimum=0, exclusive=True)
-    _check_number(cluster, path, "slo_ms", minimum=0, exclusive=True)
-    _check_cluster_result(_get(cluster, path, "result"), f"{path}.result")
-
-
-def _check_int(
-    obj: dict, path: str, key: str, *, minimum: int = 0
-) -> int:
-    value = _get(obj, path, key)
-    if isinstance(value, bool) or not isinstance(value, int) or (
-        value < minimum
-    ):
-        _fail(
-            f"{path}.{key}",
-            f"expected an integer >= {minimum}, got {value!r}",
-        )
-    return value
-
-
-def _check_autoscale_window(window: object, path: str) -> None:
-    if not isinstance(window, dict):
-        _fail(path, f"expected an object, got {window!r}")
-    _check_int(window, path, "index")
-    _check_int(window, path, "nodes", minimum=1)
-    _check_int(window, path, "pending_nodes")
-    _check_int(window, path, "desired_nodes", minimum=1)
-    _check_int(window, path, "queries")
-    _check_number(window, path, "t_s", minimum=0)
-    _check_number(window, path, "interval_s", minimum=0, exclusive=True)
-    _check_number(window, path, "offered_rate_per_s", minimum=0)
-    _check_number(window, path, "utilisation", minimum=0)
-    _check_number(window, path, "queue_depth", minimum=0)
-    for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "tail_ms"):
-        _check_number(window, path, key, minimum=0, exclusive=True)
-    _check_fraction(window, path, "sla_attainment")
-    _check_fraction(window, path, "overflow_share")
-    # v7: nodes serving with not-yet-warm tier caches (0 on flat runs).
-    _check_int(window, path, "cold_nodes")
-
-
-def _check_autoscale(autoscale: object, path: str) -> None:
-    """The v4 elastic-fleet block: timeline + cost + static baseline."""
-    if not isinstance(autoscale, dict):
-        _fail(path, f"expected an object, got {autoscale!r}")
-    _check_str(autoscale, path, "model")
-    _check_str(autoscale, path, "backend")
-    _check_str(autoscale, path, "policy")
-    _check_int(autoscale, path, "windows", minimum=1)
-    _check_number(autoscale, path, "slo_ms", minimum=0, exclusive=True)
-    result = _get(autoscale, path, "result")
-    if not isinstance(result, dict):
-        _fail(f"{path}.result", f"expected an object, got {result!r}")
-    rpath = f"{path}.result"
-    _check_str(result, rpath, "backend")
-    _check_str(result, rpath, "policy")
-    _check_number(result, rpath, "slo_ms", minimum=0, exclusive=True)
-    _check_number(result, rpath, "slo_percentile", minimum=0, exclusive=True)
-    _check_number(result, rpath, "per_node_qps", minimum=0, exclusive=True)
-    _check_number(
-        result, rpath, "node_usd_per_hour", minimum=0, exclusive=True
-    )
-    _check_int(result, rpath, "min_nodes", minimum=1)
-    _check_int(result, rpath, "max_nodes", minimum=1)
-    _check_number(result, rpath, "provision_delay_s", minimum=0)
-    _check_number(result, rpath, "cooldown_s", minimum=0)
-    trace = _get(result, rpath, "trace")
-    if not isinstance(trace, dict):
-        _fail(f"{rpath}.trace", f"expected an object, got {trace!r}")
-    for key in ("mean_rate_per_s", "peak_rate_per_s", "duration_s"):
-        _check_number(trace, f"{rpath}.trace", key, minimum=0, exclusive=True)
-    timeline = _get(result, rpath, "timeline")
-    if not isinstance(timeline, list) or not timeline:
-        _fail(
-            f"{rpath}.timeline",
-            f"expected a non-empty list, got {timeline!r}",
-        )
-    for i, window in enumerate(timeline):
-        _check_autoscale_window(window, f"{rpath}.timeline[{i}]")
-    aggregate = _get(result, rpath, "aggregate")
-    if not isinstance(aggregate, dict):
-        _fail(f"{rpath}.aggregate", f"expected an object, got {aggregate!r}")
-    apath = f"{rpath}.aggregate"
-    _check_number(aggregate, apath, "mean_nodes", minimum=0, exclusive=True)
-    _check_int(aggregate, apath, "peak_nodes", minimum=1)
-    _check_int(aggregate, apath, "min_nodes", minimum=1)
-    _check_int(aggregate, apath, "scaling_actions")
-    for key in ("node_hours", "usd_total", "usd_per_hour", "worst_tail_ms"):
-        _check_number(aggregate, apath, key, minimum=0, exclusive=True)
-    _check_number(aggregate, apath, "usd_per_million_queries", minimum=0)
-    _check_number(aggregate, apath, "offered_queries", minimum=0)
-    _check_fraction(aggregate, apath, "sla_attainment")
-    _check_fraction(aggregate, apath, "overflow_share")
-    savings = _get(aggregate, apath, "usd_savings_vs_static")
-    if savings is not None:
-        # Savings may legitimately be negative (elasticity cost more);
-        # only the type and finiteness are pinned.
-        _check_number(aggregate, apath, "usd_savings_vs_static")
-    static = _get(result, rpath, "static_baseline")
-    if static is not None:
+#: The v4 elastic-fleet block: timeline + cost + static baseline.
+AUTOSCALE = Obj({
+    **_each(Str(), "model", "backend", "policy"),
+    "windows": Int(minimum=1),
+    "slo_ms": POSITIVE,
+    "result": Obj({
+        **_each(Str(), "backend", "policy"),
+        **_each(POSITIVE, "slo_ms", "slo_percentile", "per_node_qps",
+                "node_usd_per_hour"),
+        **_each(Int(minimum=1), "min_nodes", "max_nodes"),
+        **_each(NON_NEGATIVE, "provision_delay_s", "cooldown_s"),
+        "trace": Obj(_each(POSITIVE, "mean_rate_per_s", "peak_rate_per_s",
+                           "duration_s")),
+        "timeline": List(Obj({
+            "index": Int(),
+            "nodes": Int(minimum=1),
+            "pending_nodes": Int(),
+            "desired_nodes": Int(minimum=1),
+            "queries": Int(),
+            "t_s": NON_NEGATIVE,
+            "interval_s": POSITIVE,
+            **_each(NON_NEGATIVE, "offered_rate_per_s", "utilisation",
+                    "queue_depth"),
+            **_each(POSITIVE, "mean_ms", "p50_ms", "p95_ms", "p99_ms",
+                    "tail_ms"),
+            **_each(FRACTION, "sla_attainment", "overflow_share"),
+            # v7: nodes serving with not-yet-warm tier caches (0 on flat
+            # runs).
+            "cold_nodes": Int(),
+        })),
+        "aggregate": Obj({
+            "mean_nodes": POSITIVE,
+            **_each(Int(minimum=1), "peak_nodes", "min_nodes"),
+            "scaling_actions": Int(),
+            **_each(POSITIVE, "node_hours", "usd_total", "usd_per_hour",
+                    "worst_tail_ms"),
+            **_each(NON_NEGATIVE, "usd_per_million_queries",
+                    "offered_queries"),
+            **_each(FRACTION, "sla_attainment", "overflow_share"),
+            # Savings may legitimately be negative (elasticity cost
+            # more); only the type and finiteness are pinned.
+            "usd_savings_vs_static": Nullable(Num()),
+        }),
         # null means the SLO sits below the engine's latency floor — no
         # static fleet size can meet it, which is a legitimate result.
-        if not isinstance(static, dict):
-            _fail(
-                f"{rpath}.static_baseline",
-                f"expected null or an object, got {static!r}",
-            )
-        spath = f"{rpath}.static_baseline"
-        _check_int(static, spath, "nodes", minimum=1)
-        _check_int(static, spath, "throughput_only_nodes", minimum=1)
-        for key in ("usd_per_hour", "usd_total"):
-            _check_number(static, spath, key, minimum=0, exclusive=True)
-        _check_number(static, spath, "usd_per_million_queries", minimum=0)
-        _check_fraction(static, spath, "sla_attainment")
+        "static_baseline": Nullable(Obj({
+            **_each(Int(minimum=1), "nodes", "throughput_only_nodes"),
+            **_each(POSITIVE, "usd_per_hour", "usd_total"),
+            "usd_per_million_queries": NON_NEGATIVE,
+            "sla_attainment": FRACTION,
+        })),
+    }),
+})
 
+#: The v5 sharded-serving block: a distplan
+#: :class:`~repro.distplan.plan.ShardingPlan` summary plus the fan-out
+#: serving result (which names the router; the block itself does not).
+SHARDING = Obj({
+    "model": Str(),
+    "tiers": NAMES,
+    "strategy": Str(),
+    "nodes": Int(minimum=1),
+    **_each(POSITIVE, "node_gb", "rate_per_s", "utilisation", "duration_s",
+            "slo_ms"),
+    "plan": Obj({
+        **_each(Str(), "model", "strategy"),
+        "total_gb": POSITIVE,
+        **_each(Int(minimum=1), "fanout", "shards"),
+        "sharded_tables": Int(),
+        # A valid plan never overflows a node, so max utilisation is a
+        # fraction — the capacity check is re-asserted on the artifact.
+        "max_node_utilisation": FRACTION,
+        "nodes": List(Obj({
+            "node": Int(),
+            "backend": Str(),
+            "capacity_gb": POSITIVE,
+            "bytes": NON_NEGATIVE,
+            "utilisation": FRACTION,
+            "shards": Int(),
+        })),
+    }),
+    "result": Obj({
+        **CLUSTER_RESULT.required,
+        "fanout": Int(minimum=1),
+        "strategy": Str(),
+    }),
+})
 
-def _check_plan_node(node: object, path: str) -> None:
-    if not isinstance(node, dict):
-        _fail(path, f"expected an object, got {node!r}")
-    _check_int(node, path, "node")
-    _check_str(node, path, "backend")
-    _check_number(node, path, "capacity_gb", minimum=0, exclusive=True)
-    _check_number(node, path, "bytes", minimum=0)
-    _check_fraction(node, path, "utilisation")
-    _check_int(node, path, "shards")
+#: The v7 tiered-storage block: hierarchy + warm/cold curves.
+TIERING = Obj({
+    **_each(Str(), "model", "backend", "policy"),
+    "hierarchy": Obj({
+        "policy": Str(),
+        "row_bytes": Int(minimum=1),
+        "warm_accesses": Int(),
+        "tiers": List(Obj({
+            "name": Str(),
+            "capacity_bytes": Int(minimum=1),
+            "capacity_rows": Int(),
+            "access_ns": POSITIVE,
+        }), min_len=2),
+    }),
+    "popularity": Obj({
+        "rows": Int(minimum=1),
+        **_each(NON_NEGATIVE, "alpha", "drift_rows_per_s"),
+    }),
+    "steady_state": Obj({
+        "hit_rate": FRACTION,
+        **_each(POSITIVE, "effective_lookup_ns", "hot_lookup_ns"),
+        "lookups_per_query": Int(minimum=1),
+        "tier_fractions": Map(FRACTION),
+    }),
+    "slo_ms": POSITIVE,
+    "warm": CURVE,
+    "cold": CURVE,
+})
 
+#: The v8 telemetry block: digest tails + dispatch/spill/hit shares.
+TELEMETRY = Obj({
+    "model": Str(),
+    "tiers": NAMES,
+    "router": Str(),
+    **_each(POSITIVE, "rate_per_s", "utilisation", "duration_s"),
+    "queries": Int(minimum=1),
+    "latency_ms": Obj(_each(POSITIVE, "p50", "p99", "p999")),
+    "dispatch_shares": Map(FRACTION),
+    "spill_share": FRACTION,
+    # null when the sweep's tiering block is disabled — there is then
+    # no cache cascade to count hits from.
+    "tier_hit_rates": Nullable(Map(FRACTION)),
+})
 
-def _check_plan(plan: object, path: str) -> None:
-    """A distplan :class:`~repro.distplan.plan.ShardingPlan` summary."""
-    if not isinstance(plan, dict):
-        _fail(path, f"expected an object, got {plan!r}")
-    _check_str(plan, path, "model")
-    _check_str(plan, path, "strategy")
-    _check_number(plan, path, "total_gb", minimum=0, exclusive=True)
-    _check_int(plan, path, "fanout", minimum=1)
-    _check_int(plan, path, "shards", minimum=1)
-    _check_int(plan, path, "sharded_tables")
-    # A valid plan never overflows a node, so max utilisation is a
-    # fraction — the capacity check is re-asserted here on the artifact.
-    _check_fraction(plan, path, "max_node_utilisation")
-    nodes = _get(plan, path, "nodes")
-    if not isinstance(nodes, list) or not nodes:
-        _fail(f"{path}.nodes", f"expected a non-empty list, got {nodes!r}")
-    for i, node in enumerate(nodes):
-        _check_plan_node(node, f"{path}.nodes[{i}]")
+#: One (model, backend) result of the sweep.
+RESULT = Obj(
+    {
+        **_each(Str(), "model", "backend", "precision"),
+        "perf": PERF,
+        "batch_latency_ms": Map(
+            POSITIVE,
+            key="0*[1-9][0-9]*",
+            key_rule="batch keys must be positive-integer strings",
+        ),
+        "fleet": FLEET,
+        "serving": SERVING,
+        "planner": Nullable(Obj({})),
+        "wall_clock_s": NON_NEGATIVE,
+    },
+    # v6: budgets are opt-in — the key may be absent or null; when set
+    # it is a strictly positive ceiling the perf gate compares wall
+    # clocks against.
+    optional={"wall_clock_budget_s": Nullable(POSITIVE)},
+)
 
-
-def _check_sharding(sharding: object, path: str) -> None:
-    """The v5 sharded-serving block: plan + fan-out serving result."""
-    if not isinstance(sharding, dict):
-        _fail(path, f"expected an object, got {sharding!r}")
-    _check_str(sharding, path, "model")
-    _check_str_list(sharding, path, "tiers")
-    _check_str(sharding, path, "strategy")
-    _check_int(sharding, path, "nodes", minimum=1)
-    _check_number(sharding, path, "node_gb", minimum=0, exclusive=True)
-    _check_number(sharding, path, "rate_per_s", minimum=0, exclusive=True)
-    _check_number(sharding, path, "utilisation", minimum=0, exclusive=True)
-    _check_number(sharding, path, "duration_s", minimum=0, exclusive=True)
-    _check_number(sharding, path, "slo_ms", minimum=0, exclusive=True)
-    _check_plan(_get(sharding, path, "plan"), f"{path}.plan")
-    result = _get(sharding, path, "result")
-    _check_cluster_result(result, f"{path}.result")
-    _check_int(result, f"{path}.result", "fanout", minimum=1)
-    _check_str(result, f"{path}.result", "strategy")
-
-
-def _check_tiering(tiering: object, path: str) -> None:
-    """The v7 tiered-storage block: hierarchy + warm/cold curves."""
-    if not isinstance(tiering, dict):
-        _fail(path, f"expected an object, got {tiering!r}")
-    _check_str(tiering, path, "model")
-    _check_str(tiering, path, "backend")
-    _check_str(tiering, path, "policy")
-    hierarchy = _get(tiering, path, "hierarchy")
-    if not isinstance(hierarchy, dict):
-        _fail(f"{path}.hierarchy", f"expected an object, got {hierarchy!r}")
-    hpath = f"{path}.hierarchy"
-    _check_str(hierarchy, hpath, "policy")
-    _check_int(hierarchy, hpath, "row_bytes", minimum=1)
-    _check_int(hierarchy, hpath, "warm_accesses")
-    tiers = _get(hierarchy, hpath, "tiers")
-    if not isinstance(tiers, list) or len(tiers) < 2:
-        _fail(
-            f"{hpath}.tiers",
-            f"expected a list of >= 2 tiers, got {tiers!r}",
-        )
-    for i, tier in enumerate(tiers):
-        tpath = f"{hpath}.tiers[{i}]"
-        if not isinstance(tier, dict):
-            _fail(tpath, f"expected an object, got {tier!r}")
-        _check_str(tier, tpath, "name")
-        _check_int(tier, tpath, "capacity_bytes", minimum=1)
-        _check_int(tier, tpath, "capacity_rows")
-        _check_number(tier, tpath, "access_ns", minimum=0, exclusive=True)
-    popularity = _get(tiering, path, "popularity")
-    if not isinstance(popularity, dict):
-        _fail(
-            f"{path}.popularity",
-            f"expected an object, got {popularity!r}",
-        )
-    ppath = f"{path}.popularity"
-    _check_int(popularity, ppath, "rows", minimum=1)
-    _check_number(popularity, ppath, "alpha", minimum=0)
-    _check_number(popularity, ppath, "drift_rows_per_s", minimum=0)
-    steady = _get(tiering, path, "steady_state")
-    if not isinstance(steady, dict):
-        _fail(
-            f"{path}.steady_state", f"expected an object, got {steady!r}"
-        )
-    spath = f"{path}.steady_state"
-    _check_fraction(steady, spath, "hit_rate")
-    _check_number(
-        steady, spath, "effective_lookup_ns", minimum=0, exclusive=True
-    )
-    _check_number(
-        steady, spath, "hot_lookup_ns", minimum=0, exclusive=True
-    )
-    _check_int(steady, spath, "lookups_per_query", minimum=1)
-    fractions = _get(steady, spath, "tier_fractions")
-    if not isinstance(fractions, dict) or not fractions:
-        _fail(
-            f"{spath}.tier_fractions",
-            f"expected a non-empty object, got {fractions!r}",
-        )
-    for name in fractions:
-        _check_fraction(fractions, f"{spath}.tier_fractions", name)
-    _check_number(tiering, path, "slo_ms", minimum=0, exclusive=True)
-    _check_curve(_get(tiering, path, "warm"), f"{path}.warm")
-    _check_curve(_get(tiering, path, "cold"), f"{path}.cold")
-
-
-def _check_telemetry(telemetry: object, path: str) -> None:
-    """The v8 telemetry block: digest tails + dispatch/spill/hit shares."""
-    if not isinstance(telemetry, dict):
-        _fail(path, f"expected an object, got {telemetry!r}")
-    _check_str(telemetry, path, "model")
-    _check_str_list(telemetry, path, "tiers")
-    _check_str(telemetry, path, "router")
-    _check_number(telemetry, path, "rate_per_s", minimum=0, exclusive=True)
-    _check_number(telemetry, path, "utilisation", minimum=0, exclusive=True)
-    _check_number(telemetry, path, "duration_s", minimum=0, exclusive=True)
-    _check_int(telemetry, path, "queries", minimum=1)
-    latency = _get(telemetry, path, "latency_ms")
-    if not isinstance(latency, dict):
-        _fail(f"{path}.latency_ms", f"expected an object, got {latency!r}")
-    for key in ("p50", "p99", "p999"):
-        _check_number(
-            latency, f"{path}.latency_ms", key, minimum=0, exclusive=True
-        )
-    shares = _get(telemetry, path, "dispatch_shares")
-    if not isinstance(shares, dict) or not shares:
-        _fail(
-            f"{path}.dispatch_shares",
-            f"expected a non-empty object, got {shares!r}",
-        )
-    for name in shares:
-        _check_fraction(shares, f"{path}.dispatch_shares", name)
-    _check_fraction(telemetry, path, "spill_share")
-    hit_rates = _get(telemetry, path, "tier_hit_rates")
-    if hit_rates is not None:
-        # null when the sweep's tiering block is disabled — there is
-        # then no cache cascade to count hits from.
-        if not isinstance(hit_rates, dict) or not hit_rates:
-            _fail(
-                f"{path}.tier_hit_rates",
-                f"expected null or a non-empty object, got {hit_rates!r}",
-            )
-        for name in hit_rates:
-            _check_fraction(hit_rates, f"{path}.tier_hit_rates", name)
-
-
-def _check_result(result: object, path: str) -> None:
-    if not isinstance(result, dict):
-        _fail(path, f"expected an object, got {result!r}")
-    _check_str(result, path, "model")
-    _check_str(result, path, "backend")
-    _check_str(result, path, "precision")
-    _check_perf(_get(result, path, "perf"), f"{path}.perf")
-    latencies = _get(result, path, "batch_latency_ms")
-    if not isinstance(latencies, dict) or not latencies:
-        _fail(
-            f"{path}.batch_latency_ms",
-            f"expected a non-empty object, got {latencies!r}",
-        )
-    for key in latencies:
-        if not isinstance(key, str) or not key.isdigit() or int(key) <= 0:
-            _fail(
-                f"{path}.batch_latency_ms",
-                f"batch keys must be positive-integer strings, got {key!r}",
-            )
-        _check_number(
-            latencies, f"{path}.batch_latency_ms", key,
-            minimum=0, exclusive=True,
-        )
-    _check_fleet(_get(result, path, "fleet"), f"{path}.fleet")
-    _check_serving(_get(result, path, "serving"), f"{path}.serving")
-    planner = _get(result, path, "planner")
-    if planner is not None and not isinstance(planner, dict):
-        _fail(f"{path}.planner", f"expected null or an object, got {planner!r}")
-    _check_number(result, path, "wall_clock_s", minimum=0)
-    # v6: budgets are opt-in — the key may be absent or null; when set it
-    # is a strictly positive ceiling the perf gate compares wall clocks
-    # against.
-    if result.get("wall_clock_budget_s") is not None:
-        _check_number(
-            result, path, "wall_clock_budget_s", minimum=0, exclusive=True
-        )
+#: The whole artifact.  Each optional top-level block may be null (the
+#: sweep disabled it), but its key must exist.
+PAYLOAD = Obj({
+    "suite": Const(SUITE),
+    "schema_version": Const(SCHEMA_VERSION),
+    "name": Str(),
+    "config": CONFIG,
+    "wall_clock_s": NON_NEGATIVE,
+    "cluster": Nullable(CLUSTER),
+    "autoscale": Nullable(AUTOSCALE),
+    "sharding": Nullable(SHARDING),
+    "tiering": Nullable(TIERING),
+    "telemetry": Nullable(TELEMETRY),
+    "results": List(RESULT, unique=("model", "backend")),
+})
 
 
 def validate_payload(payload: object) -> dict:
@@ -746,61 +532,7 @@ def validate_payload(payload: object) -> dict:
     Unknown extra keys are allowed everywhere — the schema pins what
     consumers rely on, not what producers may add.
     """
-    if not isinstance(payload, dict):
-        raise BenchSchemaError(
-            f"$: expected a JSON object, got {type(payload).__name__}"
-        )
-    suite = _check_str(payload, "$", "suite")
-    if suite != SUITE:
-        _fail("$.suite", f"expected {SUITE!r}, got {suite!r}")
-    version = _get(payload, "$", "schema_version")
-    # isinstance guard: bool compares equal to int (True == 1), and every
-    # other numeric field rejects bool the same way.
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        _fail(
-            "$.schema_version",
-            f"expected {SCHEMA_VERSION}, got {version!r} "
-            "(regenerate the artifact or upgrade the consumer)",
-        )
-    _check_str(payload, "$", "name")
-    _check_config(_get(payload, "$", "config"), "$.config")
-    _check_number(payload, "$", "wall_clock_s", minimum=0)
-    cluster = _get(payload, "$", "cluster")
-    if cluster is not None:
-        # null means the sweep ran with cluster_backends=() — the block
-        # is opt-out-able, its presence (the key) is not.
-        _check_cluster(cluster, "$.cluster")
-    autoscale = _get(payload, "$", "autoscale")
-    if autoscale is not None:
-        # Same contract as the cluster block: opt-out-able via
-        # autoscale_policy="", but the key itself must exist.
-        _check_autoscale(autoscale, "$.autoscale")
-    sharding = _get(payload, "$", "sharding")
-    if sharding is not None:
-        # Same contract again: opt-out-able via sharding_strategy="",
-        # but the key itself must exist.
-        _check_sharding(sharding, "$.sharding")
-    tiering = _get(payload, "$", "tiering")
-    if tiering is not None:
-        # Same contract again: opt-out-able via tiering_policy="",
-        # but the key itself must exist.
-        _check_tiering(tiering, "$.tiering")
-    telemetry = _get(payload, "$", "telemetry")
-    if telemetry is not None:
-        # Same contract again: opt-out-able via telemetry=false,
-        # but the key itself must exist.
-        _check_telemetry(telemetry, "$.telemetry")
-    results = _get(payload, "$", "results")
-    if not isinstance(results, list) or not results:
-        _fail("$.results", f"expected a non-empty list, got {results!r}")
-    seen: set[tuple[str, str]] = set()
-    for i, result in enumerate(results):
-        path = f"$.results[{i}]"
-        _check_result(result, path)
-        key = (result["model"], result["backend"])
-        if key in seen:
-            _fail(path, f"duplicate (model, backend) entry {key!r}")
-        seen.add(key)
+    _walk(PAYLOAD, payload, "$")
     return payload
 
 

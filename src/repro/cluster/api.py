@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.routing import check_slo_ms, get_policy
+from repro.cluster.routing import get_policy
 from repro.models.spec import ModelSpec
 from repro.runtime.api import deploy_model
+from repro.serving.arrivals import check_positive
 from repro.serving.sla import DEFAULT_SLA_MS
 
 
@@ -97,7 +98,7 @@ def deploy_cluster(
         raise ValueError("deploy_cluster needs at least one ReplicaSpec")
     # Fail on typos and bad SLOs before any build work.
     policy = get_policy(router)
-    check_slo_ms(slo_ms)
+    check_positive("slo_ms", slo_ms)
     sessions = []
     labels = []
     for spec in specs:

@@ -22,13 +22,13 @@ import numpy as np
 from repro.cluster.routing import (
     ReplicaView,
     RoutingPolicy,
-    check_slo_ms,
     dispatch_counts,
     get_policy,
 )
 from repro.models.workload import QueryBatch
 from repro.runtime.perf import PerfEstimate
 from repro.runtime.session import ServingSurface, Session
+from repro.serving.arrivals import check_positive
 from repro.serving.queueing import ServingResult
 from repro.serving.sla import DEFAULT_SLA_MS
 
@@ -211,7 +211,7 @@ class Cluster(ServingSurface):
     ):
         if not replicas:
             raise ValueError("a Cluster needs at least one replica")
-        check_slo_ms(slo_ms)
+        check_positive("slo_ms", slo_ms)
         self.replicas: tuple[Session, ...] = tuple(replicas)
         # Replicas are addressed by the model label they were deployed
         # under (the registry name, e.g. "small"), not the scaled spec's

@@ -77,6 +77,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.serving.arrivals import check_positive
+
 
 class UnknownRoutingPolicyError(LookupError):
     """Raised when a routing-policy name is not in the registry."""
@@ -107,22 +109,13 @@ class ReplicaView:
     usd_per_million_queries: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ii_ns) and self.ii_ns > 0):
-            raise ValueError(
-                f"ii_ns must be positive and finite, got {self.ii_ns}"
-            )
+        check_positive("ii_ns", self.ii_ns)
         for name in ("latency_ms", "serving_latency_ms"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {value}"
                 )
-
-
-def check_slo_ms(slo_ms: float) -> None:
-    """Reject an SLO that is not a positive, finite number of ms."""
-    if not (math.isfinite(slo_ms) and slo_ms > 0):
-        raise ValueError(f"slo_ms must be positive and finite, got {slo_ms}")
 
 
 @runtime_checkable
@@ -468,7 +461,7 @@ class SlaAwarePolicy:
         These are the conditions under which every bulk-committed
         decision equals the per-arrival loop's.
         """
-        check_slo_ms(slo_ms)
+        check_positive("slo_ms", slo_ms)
         _virtual_free(replicas)  # validates non-empty
         arrivals = np.asarray(arrivals_ns, dtype=np.float64)
         if not np.isfinite(arrivals).all():

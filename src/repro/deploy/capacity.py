@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.cpu.costmodel import CpuCostModel
 from repro.fpga.accelerator import FpgaPerformance
-from repro.serving.arrivals import RateTrace, arrivals_for, trace_arrivals
+from repro.serving.arrivals import (
+    RateTrace,
+    arrivals_for,
+    check_positive,
+    trace_arrivals,
+)
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.runtime
     from repro.runtime.perf import PerfEstimate
@@ -132,10 +137,7 @@ def plan_fleet_for(
     (serving fleets never run at 100%); node counts are the minimum
     satisfying it.  Returns plans keyed by backend name.
     """
-    if not (math.isfinite(target_qps) and target_qps > 0):
-        raise ValueError(
-            f"target_qps must be positive and finite, got {target_qps}"
-        )
+    check_positive("target_qps", target_qps)
     if not 0 < headroom <= 1:
         raise ValueError(f"headroom must be in (0, 1], got {headroom}")
     fleets: dict[str, FleetPlan] = {}
@@ -278,8 +280,7 @@ def plan_fleet_sla(
     base = plan_fleet_for(target_qps, [perf], headroom=headroom)[
         session.backend
     ]
-    if slo_ms <= 0:
-        raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+    check_positive("slo_ms", slo_ms)
 
     def probe(nodes: int) -> tuple[float, float]:
         return _simulate_node(

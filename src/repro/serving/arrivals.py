@@ -38,7 +38,8 @@ RateFn = Callable[[float], float]
 _SAMPLES_PER_SEGMENT = 512
 
 
-def _check_positive(name: str, value: float) -> None:
+def check_positive(name: str, value: float) -> None:
+    """Reject ``value`` unless it is a positive, finite number."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -55,8 +56,8 @@ def poisson_arrivals(
     from the expectation can otherwise leave the tail of the window
     silently empty.
     """
-    _check_positive("rate_per_s", rate_per_s)
-    _check_positive("duration_s", duration_s)
+    check_positive("rate_per_s", rate_per_s)
+    check_positive("duration_s", duration_s)
     horizon_ns = duration_s * 1e9
     expected = rate_per_s * duration_s
     # Draw slightly more gaps than needed per round, then truncate.
@@ -78,8 +79,8 @@ def uniform_arrivals(rate_per_s: float, duration_s: float) -> np.ndarray:
     dividing the horizon by the float gap loses an arrival whenever
     ``1e9 / rate_per_s`` rounds down.
     """
-    _check_positive("rate_per_s", rate_per_s)
-    _check_positive("duration_s", duration_s)
+    check_positive("rate_per_s", rate_per_s)
+    check_positive("duration_s", duration_s)
     count = round(rate_per_s * duration_s)
     gap_ns = 1e9 / rate_per_s
     return np.arange(count, dtype=np.float64) * gap_ns
@@ -118,7 +119,7 @@ class RateSegment:
     mean_rate: float
 
     def __post_init__(self) -> None:
-        _check_positive("duration_s", self.duration_s)
+        check_positive("duration_s", self.duration_s)
         if self.peak_rate < 0 or self.mean_rate < 0:
             raise ValueError("segment rates must be non-negative")
         if self.mean_rate > self.peak_rate * (1 + 1e-9):
@@ -143,7 +144,7 @@ def segment(
     so an undershooting sampled envelope mildly flattens local maxima
     rather than corrupting the stream.
     """
-    _check_positive("duration_s", duration_s)
+    check_positive("duration_s", duration_s)
     sampled_mean = mean_rate is None
     if peak_rate is None or mean_rate is None:
         grid = np.linspace(0.0, duration_s, _SAMPLES_PER_SEGMENT, endpoint=False)
@@ -254,7 +255,7 @@ class RateTrace:
         must be strictly positive — a zero target mean would silently
         realise an empty arrival stream downstream.
         """
-        _check_positive("mean_rate_per_s", mean_rate_per_s)
+        check_positive("mean_rate_per_s", mean_rate_per_s)
         current = self.mean_rate
         if current <= 0:
             raise ValueError("cannot rescale a trace whose mean rate is 0")
@@ -336,12 +337,12 @@ def diurnal_trace(
     ``amplitude`` must sit in ``[0, 1)`` so the rate stays positive.  The
     period defaults to the whole horizon (one full swing per window).
     """
-    _check_positive("base_rate_per_s", base_rate_per_s)
-    _check_positive("duration_s", duration_s)
+    check_positive("base_rate_per_s", base_rate_per_s)
+    check_positive("duration_s", duration_s)
     if not 0 <= amplitude < 1:
         raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
     period = duration_s if period_s is None else period_s
-    _check_positive("period_s", period)
+    check_positive("period_s", period)
     omega = 2 * math.pi / period
 
     def rate(t, base=base_rate_per_s, a=amplitude, w=omega, p=phase):
@@ -378,8 +379,8 @@ def bursty_trace(
     piecewise-constant segments, so the returned trace is a concrete
     realisation — reusable, composable, and deterministic given the seed.
     """
-    _check_positive("base_rate_per_s", base_rate_per_s)
-    _check_positive("duration_s", duration_s)
+    check_positive("base_rate_per_s", base_rate_per_s)
+    check_positive("duration_s", duration_s)
     burst = 4.0 * base_rate_per_s if burst_rate_per_s is None else burst_rate_per_s
     if burst < base_rate_per_s:
         raise ValueError(
@@ -388,8 +389,8 @@ def bursty_trace(
         )
     mean_burst = duration_s / 10 if mean_burst_s is None else mean_burst_s
     mean_gap = duration_s / 5 if mean_gap_s is None else mean_gap_s
-    _check_positive("mean_burst_s", mean_burst)
-    _check_positive("mean_gap_s", mean_gap)
+    check_positive("mean_burst_s", mean_burst)
+    check_positive("mean_gap_s", mean_gap)
 
     traces: list[RateTrace] = []
     elapsed, bursting = 0.0, False
@@ -420,8 +421,8 @@ def flash_crowd_trace(
     and decays back towards base with time constant ``decay_s`` (default
     a tenth of the window).
     """
-    _check_positive("base_rate_per_s", base_rate_per_s)
-    _check_positive("duration_s", duration_s)
+    check_positive("base_rate_per_s", base_rate_per_s)
+    check_positive("duration_s", duration_s)
     spike = 5.0 * base_rate_per_s if spike_rate_per_s is None else spike_rate_per_s
     if spike < base_rate_per_s:
         raise ValueError(
@@ -434,7 +435,7 @@ def flash_crowd_trace(
             f"spike_at_s must be in [0, duration_s), got {at}"
         )
     tau = duration_s / 10 if decay_s is None else decay_s
-    _check_positive("decay_s", tau)
+    check_positive("decay_s", tau)
 
     def decayed(t, base=base_rate_per_s, s=spike, k=tau):
         return base + (s - base) * np.exp(-np.asarray(t) / k)

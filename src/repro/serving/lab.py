@@ -32,7 +32,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serving.arrivals import ARRIVAL_PROCESSES, arrivals_for
+from repro.serving.arrivals import (
+    ARRIVAL_PROCESSES,
+    arrivals_for,
+    check_positive,
+)
 from repro.serving.sla import DEFAULT_SLA_MS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -175,8 +179,7 @@ def load_sweep(
         )
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-    if slo_ms <= 0:
-        raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+    check_positive("slo_ms", slo_ms)
     if not 0 < slo_percentile < 100:
         raise ValueError(
             f"slo_percentile must be in (0, 100), got {slo_percentile}"

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.serving.arrivals import check_positive
 from repro.telemetry.digest import exact_quantile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,8 +83,7 @@ class ServingResult:
 
     def sla_attainment(self, slo_ms: float) -> float:
         """Fraction of queries answered within ``slo_ms``."""
-        if slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+        check_positive("slo_ms", slo_ms)
         return float((self.latencies_ms <= slo_ms).mean())
 
     @property
@@ -109,8 +109,7 @@ class ServingResult:
         every point's full latency array (see
         :func:`repro.serving.lab.load_sweep`).
         """
-        if slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+        check_positive("slo_ms", slo_ms)
         if not 0 < slo_percentile < 100:
             raise ValueError(
                 f"slo_percentile must be in (0, 100), "

@@ -357,6 +357,8 @@ class TestSimulator:
     def test_knob_validation(self, gpu_session, trace):
         bad = [
             {"slo_ms": 0.0},
+            {"slo_ms": float("nan")},
+            {"slo_ms": float("inf")},
             {"slo_ms": 30.0, "slo_percentile": 100.0},
             {"slo_ms": 30.0, "windows": 0},
             {"slo_ms": 30.0, "min_nodes": 0},
@@ -471,6 +473,15 @@ class TestCliAutoscale:
 
     def test_unknown_model_exits_2(self):
         assert main(["autoscale", "medium"]) == 2
+
+    def test_non_finite_slo_exits_2(self, capsys):
+        # Before, both exited 0 and printed "slo_ms": NaN (not JSON).
+        for value in ("nan", "inf"):
+            assert main([*self.ARGS, "--slo-ms", value, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert "slo_ms" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
     def test_flash_trace_runs(self, capsys):
         assert main(

@@ -2,11 +2,14 @@
 
 import copy
 import json
+import pathlib
+import re
 from typing import ClassVar
 
 import pytest
 
 from repro.bench import (
+    METRICS,
     SCHEMA_VERSION,
     BenchConfig,
     BenchSchemaError,
@@ -18,9 +21,45 @@ from repro.bench import (
     validate_payload,
     write_payload,
 )
+from repro.bench.compare import BLOCK_METRICS, _read
 from repro.cli import main
 
 BACKENDS = ("fpga", "cpu", "gpu", "nmp")
+
+#: The committed perf-gate baseline: a full v8 artifact with every block.
+BASELINE = pathlib.Path(__file__).resolve().parent.parent / (
+    "BENCH_ci_baseline.json"
+)
+
+#: Leaf patterns (list indices as ``[*]``) the v8 schema leaves free.
+UNPINNED_LEAVES = {
+    # Planner statistics exist only on planning backends and no consumer
+    # reads them; the schema pins the block as null or an object.
+    "$.results[*].planner.candidate_count",
+    "$.results[*].planner.dram_rounds",
+    "$.results[*].planner.evaluated",
+    "$.results[*].planner.lookup_latency_ns",
+    "$.results[*].planner.merged_groups",
+    "$.results[*].planner.storage_bytes",
+    "$.results[*].planner.storage_overhead",
+    "$.results[*].planner.tables",
+    "$.results[*].planner.tables_in_dram",
+    # The plan's score breakdown is diagnostic; --compare reads the
+    # pinned headline fields (fanout, max_node_utilisation) instead.
+    "$.sharding.plan.score.imbalance",
+    "$.sharding.plan.score.max_utilisation",
+    "$.sharding.plan.score.predicted_latency_ms",
+    "$.sharding.plan.score.shards",
+    "$.sharding.plan.score.usd_per_hour",
+    # Provenance echoes: config.seed and each result's budget are pinned.
+    "$.autoscale.result.seed",
+    "$.config.wall_clock_budget_multiplier",
+    # Duplicates of pinned fields: the result's own backend, and the
+    # warm/cold curves' duration_s and slo_percentile.
+    "$.results[*].serving.backend",
+    "$.tiering.duration_s",
+    "$.tiering.slo_percentile",
+}
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +350,13 @@ class TestValidator:
             bad["results"][0]["perf"]["latency_us"] = poison
             with pytest.raises(BenchSchemaError, match="finite"):
                 validate_payload(bad)
+            bad = copy.deepcopy(payload)
+            bad["config"]["serve_utilisations"][-1] = poison
+            with pytest.raises(
+                BenchSchemaError,
+                match=r"serve_utilisations\[\d+\]: expected a finite",
+            ):
+                validate_payload(bad)
 
     def test_rejects_bad_batch_key(self, payload):
         bad = copy.deepcopy(payload)
@@ -517,6 +563,87 @@ class TestValidator:
         garbage.write_text("{not json")
         with pytest.raises(BenchSchemaError, match="not valid JSON"):
             validate_file(str(garbage))
+
+
+def _leaves(value, path="$"):
+    """Yield (JSON path, parent container, key) for every leaf."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        child = f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]"
+        if isinstance(item, (dict, list)) and item:
+            yield from _leaves(item, child)
+        else:
+            yield child, value, key
+
+
+def _locate(payload, steps):
+    """(JSON path, parent container, key) at the end of ``steps``.
+
+    A step is a key, a list index, or a function picking one entry out
+    of a list or map (the comparator's path language).
+    """
+    path, parent, key, value = "$", None, None, payload
+    for step in steps:
+        if callable(step):
+            picked = step(value)
+            items = (
+                value.items() if isinstance(value, dict) else enumerate(value)
+            )
+            step = next(k for k, item in items if item is picked)
+        path += f"[{step}]" if isinstance(value, list) else f".{step}"
+        parent, key, value = value, step, value[step]
+    return path, parent, key
+
+
+class TestSpecCoverage:
+    """Ties the schema spec to the committed artifact and the comparator."""
+
+    @pytest.fixture
+    def baseline(self):
+        return json.loads(BASELINE.read_text(encoding="utf-8"))
+
+    def _assert_rejected_at(self, payload, parent, key, path, poison):
+        original = parent[key]
+        parent[key] = poison
+        try:
+            with pytest.raises(BenchSchemaError) as info:
+                validate_payload(payload)
+            assert str(info.value).startswith(f"{path}: ")
+        finally:
+            parent[key] = original
+
+    def test_every_pinned_leaf_is_checked(self, baseline):
+        validate_payload(baseline)
+        patterns = set()
+        for path, parent, key in _leaves(baseline):
+            pattern = re.sub(r"\[\d+\]", "[*]", path)
+            patterns.add(pattern)
+            if pattern in UNPINNED_LEAVES:
+                original = parent[key]
+                parent[key] = [0]
+                validate_payload(baseline)
+                parent[key] = original
+            else:
+                self._assert_rejected_at(baseline, parent, key, path, [0])
+        # The exemptions name real leaves, so the list cannot go stale.
+        assert UNPINNED_LEAVES <= patterns
+
+    def test_comparator_reads_only_pinned_numbers(self, baseline):
+        paths = [
+            *(("results", 0, "perf", metric) for metric in METRICS),
+            ("results", 0, "serving", "processes", "poisson",
+             "sla_capacity_per_s"),
+            ("results", 0, "serving", "fleet_sla", "nodes"),
+        ]
+        for block, (_, metrics) in BLOCK_METRICS.items():
+            paths.extend((block, *steps) for steps, _ in metrics.values())
+        for steps in paths:
+            path, parent, key = _locate(baseline, steps)
+            value = parent[key]
+            assert isinstance(value, (int, float))
+            assert not isinstance(value, bool)
+            assert _read(baseline, steps) == value
+            self._assert_rejected_at(baseline, parent, key, path, "x")
 
 
 class TestCompare:

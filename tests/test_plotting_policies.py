@@ -1,12 +1,9 @@
-"""Tests for ASCII plotting and the extra batching policies."""
+"""Tests for ASCII plotting."""
 
 import numpy as np
 import pytest
 
 from repro.experiments.plotting import Series, ascii_chart, series_from_rows
-from repro.serving.policies import SlaAwareBatcher, work_conserving
-from repro.serving.arrivals import poisson_arrivals
-from repro.serving.queueing import BatchedServerSim
 
 
 class TestSeries:
@@ -79,55 +76,3 @@ class TestSeriesFromRows:
         by_label = {s.label: s for s in series}
         assert len(by_label["a"].x) == 2
         assert len(by_label["b"].x) == 1
-
-
-class TestWorkConserving:
-    def test_no_wait_at_light_load(self):
-        server = work_conserving(lambda b: 1.0)
-        result = server.run(np.array([0.0]))
-        assert result.latencies_ms[0] == pytest.approx(1.0)
-
-    def test_adapts_batch_to_backlog(self):
-        # One early query, 99 arriving while the server is busy with it:
-        # the second dispatch takes the whole backlog in one batch.
-        batches = []
-        server = work_conserving(lambda b: batches.append(b) or 1.0)
-        arrivals = np.concatenate([[0.0], np.full(99, 1000.0)])  # +1 us
-        server.run(arrivals)
-        assert batches[0] == 1
-        assert sum(batches) == 100
-        assert len(batches) == 2
-
-
-class TestSlaAwareBatcher:
-    def test_respects_sla_budget(self):
-        # exec(B) = 1 + 0.01 B ms; SLA 10 ms => batch <= ~900 minus age.
-        batcher = SlaAwareBatcher(lambda b: 1.0 + 0.01 * b, sla_ms=10.0)
-        rng = np.random.default_rng(0)
-        arrivals = poisson_arrivals(rng, 50_000, 0.2)
-        result = batcher.run(arrivals)
-        # Under moderate load the SLA holds for nearly everyone.
-        assert np.percentile(result.latencies_ms, 95) <= 10.0 * 1.05
-
-    def test_beats_fixed_batcher_on_tail(self):
-        """Same load: the SLA-aware policy keeps p99 below a big fixed
-        batcher that waits for its batch to fill."""
-        def exec_ms(b):
-            return 1.0 + 0.01 * b
-
-        rng = np.random.default_rng(1)
-        arrivals = poisson_arrivals(rng, 20_000, 0.2)
-        fixed = BatchedServerSim(exec_ms, batch_size=512, batch_timeout_ms=20.0)
-        aware = SlaAwareBatcher(exec_ms, sla_ms=10.0)
-        assert aware.run(arrivals).p99_ms < fixed.run(arrivals).p99_ms
-
-    def test_degrades_gracefully_when_overloaded(self):
-        batcher = SlaAwareBatcher(lambda b: 5.0, sla_ms=1.0)  # impossible SLA
-        result = batcher.run(np.zeros(10))
-        assert result.count == 10  # everyone still served
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlaAwareBatcher(lambda b: 1.0, sla_ms=0)
-        with pytest.raises(ValueError):
-            SlaAwareBatcher(lambda b: 1.0, sla_ms=1.0, max_batch=0)

@@ -270,8 +270,11 @@ class TestServingResult:
         assert result.sla_attainment(100.0) == 1.0
         assert result.sla_attainment(50.0) == pytest.approx(0.5)
         assert result.sla_attainment(0.5) == 0.0
-        with pytest.raises(ValueError):
-            result.sla_attainment(0.0)
+        for slo_ms in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_ms"):
+                result.sla_attainment(slo_ms)
+            with pytest.raises(ValueError, match="slo_ms"):
+                result.compact(slo_ms=slo_ms)
 
 
 class TestBatchedServer:

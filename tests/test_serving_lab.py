@@ -170,6 +170,9 @@ class TestLoadSweep:
             load_sweep(cpu_session, rates=(0.0,))
         with pytest.raises(ValueError, match="slo_percentile"):
             load_sweep(cpu_session, slo_percentile=100.0)
+        for slo_ms in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_ms"):
+                load_sweep(cpu_session, slo_ms=slo_ms)
 
 
 class TestSessionLab:
@@ -255,8 +258,9 @@ class TestPlanFleetSla:
         json.dumps(out)  # JSON-serialisable
 
     def test_validation(self, cpu_session):
-        with pytest.raises(ValueError, match="slo_ms"):
-            plan_fleet_sla(1000, cpu_session, slo_ms=0.0)
+        for slo_ms in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_ms"):
+                plan_fleet_sla(1000, cpu_session, slo_ms=slo_ms)
 
 
 class TestSessionWiring:
@@ -340,6 +344,19 @@ class TestCliServe:
             err = capsys.readouterr().err
             assert "target_qps" in err
             assert "Traceback" not in err
+
+    def test_non_finite_slo_exits_2(self, capsys):
+        # Before, both exited 0 and printed "slo_ms": NaN (not JSON).
+        for value in ("nan", "inf"):
+            assert main(
+                ["serve", "small", "--max-rows", "128", "--duration-s",
+                 "0.02", "--backend", "fpga", "--utilisation", "0.3",
+                 "--process", "poisson", "--slo-ms", value, "--json"]
+            ) == 2
+            captured = capsys.readouterr()
+            assert "slo_ms" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
     def test_explicit_undeployable_backend_exits_2(self, capsys):
         # fpga-compressed needs --max-rows; asked for by name, the
