@@ -100,14 +100,18 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     if (rc := _check_model(args.model)) is not None:
         return rc
-    memory = u280_memory_system(
-        hbm_channels=args.hbm_channels, onchip_banks=args.onchip_banks
-    )
+    try:
+        memory = u280_memory_system(
+            hbm_channels=args.hbm_channels, onchip_banks=args.onchip_banks
+        )
+        planner_config = _planner_config(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     session = _build_session(
         args,
         memory=memory,
         timing=MemoryTimingModel(axi=memory.axi),
-        planner_config=_planner_config(args),
+        planner_config=planner_config,
     )
     if session is None:
         return 2

@@ -16,6 +16,7 @@ banks of the bank's serial read time — the quantity Algorithm 1 minimises.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -135,13 +136,25 @@ class Placement:
         """Per-inference embedding lookup latency (max over banks).
 
         ``lookup_rounds`` scales every table's lookup count, modelling the
-        multi-round DNN architectures of Figure 7.
+        multi-round DNN architectures of Figure 7.  One pass over
+        ``bank_of`` sums every bank's serial time in the same order as
+        :meth:`bank_serial_ns`, so the floats agree bit for bit.
         """
-        used_banks = set(self.bank_of.values())
-        return max(
-            (self.bank_serial_ns(b, timing, lookup_rounds) for b in used_banks),
-            default=0.0,
-        )
+        kind_of: dict[int, BankKind] = {}
+        access_ns: dict[tuple[BankKind, int], float] = {}
+        per_bank: dict[int, float] = {}
+        for group, bank_id in self.bank_of.items():
+            kind = kind_of.get(bank_id)
+            if kind is None:
+                kind = kind_of[bank_id] = self.memory.bank(bank_id).kind
+            spec = self.group_spec(group)
+            key = (kind, spec.vector_bytes)
+            ns = access_ns.get(key)
+            if ns is None:
+                ns = access_ns[key] = timing.access_ns(*key)
+            accesses = spec.lookups_per_inference * lookup_rounds
+            per_bank[bank_id] = per_bank.get(bank_id, 0.0) + accesses * ns
+        return max(per_bank.values(), default=0.0)
 
     def dram_access_rounds(self, lookup_rounds: int = 1) -> int:
         """Accesses the busiest DRAM channel serialises (Table 3 rounds)."""
@@ -167,6 +180,22 @@ class Placement:
         }
 
 
+class _ProductSpecs(dict):
+    """``product_spec`` per merge group, computed on first use.
+
+    The planner keeps one for a whole search, since the same singletons and
+    rule-2/3 pairs recur at every candidate count.
+    """
+
+    def __init__(self, specs: Mapping[int, TableSpec]):
+        super().__init__()
+        self.specs = specs
+
+    def __missing__(self, group: MergeGroup) -> TableSpec:
+        spec = self[group] = product_spec(group, self.specs)
+        return spec
+
+
 def allocate_to_banks(
     groups: Sequence[MergeGroup],
     specs: Mapping[int, TableSpec],
@@ -187,89 +216,147 @@ def allocate_to_banks(
     Raises :class:`PlacementError` if even ``k = 0`` cannot be placed (some
     group exceeds every DRAM bank's remaining capacity).
     """
-    # Every per-group quantity is computed exactly once up front; the k-sweep
-    # below only shuffles precomputed numbers, keeping the allocator O(N)
-    # per candidate count and the whole planner at the paper's O(N^2).
-    gspec = {g: product_spec(g, specs) for g in groups}
-    cost = {
-        g: s.lookups_per_inference * timing.dram_access_ns(s.vector_bytes)
-        for g, s in gspec.items()
-    }
-    onchip_cost = {
-        g: s.lookups_per_inference
-        * timing.access_ns(BankKind.ONCHIP, s.vector_bytes)
-        for g, s in gspec.items()
-    }
+    return _allocate(groups, _ProductSpecs(specs), memory, timing)
+
+
+def _pack_dram(
+    ranks: Sequence[int],
+    k: int,
+    size: Sequence[int],
+    cost: Sequence[float],
+    heap: list[tuple[float, int]],
+    free: dict[int, int],
+    busy: dict[int, float],
+) -> list[int] | None:
+    """LPT step: each rank in ``ranks`` from ``k`` up onto a DRAM bank.
+
+    The bank is the least busy one with room, ties to the lower id: the
+    ``(busy, bank_id)`` heap is popped until a bank has room, and the
+    skipped entries are pushed back.  Ranks below ``k`` are cached on
+    chip and skipped.  ``heap``, ``free`` and ``busy`` are updated in
+    place.  Returns the bank picked for each placed rank, or ``None`` once
+    a group fits no bank.
+    """
+    picks: list[int] = []
+    for rank in ranks:
+        if rank < k:
+            continue
+        nbytes = size[rank]
+        skipped = []
+        while heap and free[heap[0][1]] < nbytes:
+            skipped.append(heapq.heappop(heap))
+        if not heap:
+            return None
+        busy_ns, bank_id = heap[0]
+        busy_ns += cost[rank]
+        heapq.heapreplace(heap, (busy_ns, bank_id))
+        busy[bank_id] = busy_ns
+        free[bank_id] -= nbytes
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        picks.append(bank_id)
+    return picks
+
+
+def _allocate(
+    groups: Sequence[MergeGroup],
+    product_specs: _ProductSpecs,
+    memory: MemorySystemSpec,
+    timing: MemoryTimingModel,
+) -> Placement:
+    """:func:`allocate_to_banks`, with the group specs taken from a memo.
+
+    Cost for ``N`` groups and ``K`` on-chip counts swept: O(N log N) to
+    rank the groups once, then per ``k`` one on-chip first-fit step and one
+    heap pick per DRAM group (O(log banks), plus any full banks it skips).
+    Groups that precede every on-chip candidate in LPT order are packed
+    once for all ``k``.  That is O(N K log banks) per call, against
+    O(N K banks) for a candidate list and ``min`` per pick.
+    """
+    gspec = {g: product_specs[g] for g in groups}
+    # Everything the sweep reads is computed once, in flat lists indexed by
+    # a group's rank in smallest-first order.
     sorted_groups = sorted(
         groups, key=lambda g: (gspec[g].nbytes, g.member_ids)
     )
-    by_cost_desc = sorted(
-        groups, key=lambda g: (-cost[g], g.member_ids)
-    )
+    n = len(sorted_groups)
+    dram_ns: dict[int, float] = {}
+    onchip_ns: dict[int, float] = {}
+    size, cost, onchip_cost = [], [], []
+    for group in sorted_groups:
+        spec = gspec[group]
+        vector_bytes = spec.vector_bytes
+        if vector_bytes not in dram_ns:
+            dram_ns[vector_bytes] = timing.dram_access_ns(vector_bytes)
+            onchip_ns[vector_bytes] = timing.access_ns(
+                BankKind.ONCHIP, vector_bytes
+            )
+        size.append(spec.nbytes)
+        cost.append(spec.lookups_per_inference * dram_ns[vector_bytes])
+        onchip_cost.append(spec.lookups_per_inference * onchip_ns[vector_bytes])
+    # Most expensive groups first (LPT balance).
+    lpt = sorted(range(n), key=lambda r: (-cost[r], sorted_groups[r].member_ids))
 
-    best_bank_of: dict[MergeGroup, int] | None = None
-    best_score: tuple[float, float] | None = None
-    onchip_banks = memory.onchip_banks
     # The sweep over the on-chip table count k stops as soon as the k
     # smallest groups no longer fit the *total* on-chip capacity — a valid
     # upper bound (first-fit can only fail earlier).
+    onchip_banks = memory.onchip_banks
     onchip_capacity = sum(b.capacity_bytes for b in onchip_banks)
     max_k, prefix = 0, 0
-    for group in sorted_groups:
-        prefix += gspec[group].nbytes
+    for nbytes in size:
+        prefix += nbytes
         if prefix > onchip_capacity:
             break
         max_k += 1
 
-    for k in range(max_k + 1):
-        onchip_part = sorted_groups[:k]
-        onchip_set = set(onchip_part)
-        bank_of: dict[MergeGroup, int] = {}
+    # Groups that come, in LPT order, before every on-chip candidate are
+    # in DRAM whatever k is, and are packed first for every k: pack them
+    # once and start each k from a copy of that state.
+    shared = 0
+    while shared < n and lpt[shared] >= max_k:
+        shared += 1
+    dram_banks = memory.dram_banks
+    free0 = {b.bank_id: b.capacity_bytes for b in dram_banks}
+    busy0 = {b.bank_id: 0.0 for b in dram_banks}
+    # Sorted, the list is a valid heap whatever order the ids come in.
+    heap0 = sorted((0.0, bank_id) for bank_id in busy0)
+    shared_picks = _pack_dram(
+        lpt[:shared], max_k, size, cost, heap0, free0, busy0
+    )
+    rest = lpt[shared:]
 
-        # --- on-chip: first-fit into the least-occupied on-chip bank.
-        onchip_load = {b.bank_id: 0 for b in onchip_banks}
-        onchip_free = {b.bank_id: b.capacity_bytes for b in onchip_banks}
-        onchip_busy = {b.bank_id: 0.0 for b in onchip_banks}
-        feasible = True
-        for group in onchip_part:
-            nbytes = gspec[group].nbytes
-            candidates = [
-                bid for bid in onchip_free if onchip_free[bid] >= nbytes
-            ]
-            if not candidates:
-                feasible = False
-                break
-            bid = min(candidates, key=lambda b: (onchip_load[b], b))
-            bank_of[group] = bid
+    # On-chip first-fit state, carried from k to k + 1: step k + 1 only
+    # adds the k-th smallest group.
+    onchip_load = {b.bank_id: 0 for b in onchip_banks}
+    onchip_free = {b.bank_id: b.capacity_bytes for b in onchip_banks}
+    onchip_busy = {b.bank_id: 0.0 for b in onchip_banks}
+    onchip_bank: list[int] = []
+
+    best_k, best_picks = 0, []
+    best_score: tuple[float, float] | None = None
+    for k in range(max_k + 1):
+        if k:
+            # --- on-chip: first-fit into the least-occupied on-chip bank.
+            nbytes = size[k - 1]
+            fits = [bid for bid in onchip_free if onchip_free[bid] >= nbytes]
+            if not fits:
+                break  # larger k only adds bigger tables; stop the sweep
+            bid = min(fits, key=lambda b: (onchip_load[b], b))
+            onchip_bank.append(bid)
             onchip_free[bid] -= nbytes
             onchip_load[bid] += 1
-            onchip_busy[bid] += onchip_cost[group]
-        if not feasible:
-            break  # larger k only adds bigger tables; stop the sweep
+            onchip_busy[bid] += onchip_cost[k - 1]
 
         # --- DRAM: LPT greedy onto least-loaded channel with capacity.
-        dram_banks = memory.dram_banks
-        if len(onchip_set) < len(sorted_groups) and not dram_banks:
+        # Without a DRAM bank only "every group on chip" can work, and a
+        # repeated group never gets there: the set of cached groups is short.
+        if not dram_banks and len(set(sorted_groups[:k])) < n:
             continue
-        dram_free = {b.bank_id: b.capacity_bytes for b in dram_banks}
-        dram_busy = {b.bank_id: 0.0 for b in dram_banks}
-        ok = True
-        # Most expensive groups first (LPT balance), pre-sorted once.
-        for group in by_cost_desc:
-            if group in onchip_set:
-                continue
-            spec = gspec[group]
-            candidates = [
-                bid for bid in dram_free if dram_free[bid] >= spec.nbytes
-            ]
-            if not candidates:
-                ok = False
-                break
-            bid = min(candidates, key=lambda b: (dram_busy[b], b))
-            bank_of[group] = bid
-            dram_free[bid] -= spec.nbytes
-            dram_busy[bid] += cost[group]
-        if not ok:
+        picks = None
+        if shared_picks is not None:
+            heap, free, busy = list(heap0), dict(free0), dict(busy0)
+            picks = _pack_dram(rest, k, size, cost, heap, free, busy)
+        if picks is None:
             if k == 0:
                 raise PlacementError(
                     "allocation failed: a group exceeds every DRAM bank's "
@@ -279,22 +366,31 @@ def allocate_to_banks(
 
         # Latency = slowest bank; storage is k-independent, so ties are
         # broken towards lower aggregate DRAM busy time, i.e. towards
-        # caching more tables on chip.
+        # caching more tables on chip.  ``busy`` keeps the banks in
+        # ``memory.dram_banks`` order, so its float sum does too.
         latency = max(
-            max(dram_busy.values(), default=0.0),
+            max(busy.values(), default=0.0),
             max(onchip_busy.values(), default=0.0),
         )
-        score = (latency, sum(dram_busy.values()))
+        score = (latency, sum(busy.values()))
         if best_score is None or score < best_score:
-            best_bank_of, best_score = bank_of, score
+            best_k, best_picks, best_score = k, picks, score
 
-    if best_bank_of is None:
+    if best_score is None:
         raise PlacementError("no feasible allocation found")
+    # bank_of lists the on-chip groups smallest-first, then the DRAM
+    # groups in LPT order.
+    bank_of = {
+        sorted_groups[r]: bid for r, bid in enumerate(onchip_bank[:best_k])
+    }
+    dram_ranks = lpt[:shared] + [r for r in rest if r >= best_k]
+    for rank, bid in zip(dram_ranks, shared_picks + best_picks):
+        bank_of[sorted_groups[rank]] = bid
     placement = Placement(
         memory=memory,
-        specs=dict(specs),
+        specs=dict(product_specs.specs),
         groups=tuple(sorted_groups),
-        bank_of=best_bank_of,
+        bank_of=bank_of,
     )
     placement._spec_cache.update(gspec)
     return placement

@@ -18,7 +18,10 @@ four heuristic rules:
    :func:`~repro.core.allocation.allocate_to_banks`).
 
 The outer loop tries every candidate count ``n`` from 0 to N and keeps the
-best allocation, giving the paper's ``O(N^2)`` total complexity.
+best allocation: ``O(N)`` allocations, as in the paper.  Each allocation
+sweeps ``K`` on-chip counts with a heap-picked LPT pass, so the search
+costs ``O(N^2 K log banks)`` rather than the paper's ``O(N^2)``; one
+memo of product specs serves every ``n``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from typing import Mapping, Sequence
 from repro.core.allocation import (
     Placement,
     PlacementError,
-    allocate_to_banks,
+    _allocate,
+    _ProductSpecs,
 )
-from repro.core.cartesian import MergeGroup, product_spec
+from repro.core.cartesian import MergeGroup
 from repro.core.tables import TableSpec
 from repro.memory.spec import MemorySystemSpec
 from repro.memory.timing import MemoryTimingModel, default_timing_model
@@ -61,6 +65,12 @@ class PlannerConfig:
     max_candidate_rows: int = 100_000
     max_product_bytes: int = 256 * MIB
     enable_cartesian: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("max_candidate_rows", "max_product_bytes"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -122,7 +132,7 @@ def _groups_for_candidate_count(
     specs_sorted: Sequence[TableSpec],
     n: int,
     all_ids: set[int],
-    specs: Mapping[int, TableSpec],
+    product_specs: Mapping[MergeGroup, TableSpec],
     config: PlannerConfig,
 ) -> tuple[MergeGroup, ...]:
     """Build the merge-group partition for a given candidate count ``n``."""
@@ -132,7 +142,7 @@ def _groups_for_candidate_count(
     for ids in pair_candidates(candidates):
         group = MergeGroup(ids)
         if len(ids) == 2:
-            if product_spec(group, specs).nbytes > config.max_product_bytes:
+            if product_specs[group].nbytes > config.max_product_bytes:
                 # Oversized product: keep the two tables separate.
                 groups.extend(MergeGroup((tid,)) for tid in ids)
             else:
@@ -174,6 +184,7 @@ def plan_tables(
         key=lambda s: s.size_key,
     )
     max_n = len(eligible) if config.enable_cartesian else 0
+    product_specs = _ProductSpecs(by_id)
 
     best: Plan | None = None
     best_score: tuple[float, int] | None = None
@@ -182,10 +193,10 @@ def plan_tables(
         if n == 1:
             continue  # a single candidate has nothing to pair with
         groups = _groups_for_candidate_count(
-            eligible, n, all_ids, by_id, config
+            eligible, n, all_ids, product_specs, config
         )
         try:
-            placement = allocate_to_banks(groups, by_id, memory, timing)
+            placement = _allocate(groups, product_specs, memory, timing)
         except PlacementError:
             continue
         evaluated += 1

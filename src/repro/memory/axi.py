@@ -41,8 +41,10 @@ class AxiConfig:
                 f"data_width_bits must be a positive multiple of 8, "
                 f"got {self.data_width_bits}"
             )
-        if self.clock_mhz <= 0:
-            raise ValueError(f"clock_mhz must be positive, got {self.clock_mhz}")
+        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
+            raise ValueError(
+                f"clock_mhz must be positive and finite, got {self.clock_mhz}"
+            )
 
     @property
     def bytes_per_cycle(self) -> int:

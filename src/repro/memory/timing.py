@@ -22,6 +22,7 @@ own microbenchmark (Table 5, 8-table row: 334.5 ns at dim 4 rising to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.memory.axi import AxiConfig
@@ -52,8 +53,10 @@ class MemoryTimingModel:
     onchip_latency_fraction: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.dram_init_ns < 0:
-            raise ValueError(f"dram_init_ns must be >= 0, got {self.dram_init_ns}")
+        if not (math.isfinite(self.dram_init_ns) and self.dram_init_ns >= 0):
+            raise ValueError(
+                f"dram_init_ns must be finite and >= 0, got {self.dram_init_ns}"
+            )
         if not 0 < self.onchip_latency_fraction <= 1:
             raise ValueError(
                 "onchip_latency_fraction must be in (0, 1], "

@@ -164,6 +164,21 @@ class TestCli:
     def test_plan_unknown_model(self, capsys):
         assert main(["plan", "medium"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,field",
+        [
+            ("--hbm-channels", "hbm_channels"),
+            ("--onchip-banks", "onchip_banks"),
+            ("--max-candidate-rows", "max_candidate_rows"),
+            ("--max-product-bytes", "max_product_bytes"),
+        ],
+    )
+    def test_plan_negative_knob_exits_2(self, capsys, flag, field):
+        assert main(["plan", "small", flag, "-1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"{field} must be >= 0, got -1"
+
     def test_experiments_single(self, capsys):
         assert main(["experiments", "table5"]) == 0
         out = capsys.readouterr().out

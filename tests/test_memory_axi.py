@@ -45,6 +45,11 @@ class TestAxiConfig:
         with pytest.raises(ValueError):
             AxiConfig(clock_mhz=0)
 
+    @pytest.mark.parametrize("clock", [-1.0, float("nan"), float("inf")])
+    def test_non_finite_or_negative_clock_rejected(self, clock):
+        with pytest.raises(ValueError, match="clock_mhz must be positive"):
+            AxiConfig(clock_mhz=clock)
+
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             AxiConfig().cycles_for_bytes(-1)

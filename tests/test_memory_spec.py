@@ -70,6 +70,18 @@ class TestU280:
         assert mem.num_dram_channels == 2
         assert all(b.kind is not BankKind.HBM for b in mem.banks)
 
+    @pytest.mark.parametrize(
+        "field", ["hbm_channels", "ddr_channels", "onchip_banks"]
+    )
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            u280_memory_system(**{field: -1})
+
+    def test_zero_dram_counts_allowed(self):
+        mem = u280_memory_system(hbm_channels=0, ddr_channels=0)
+        assert mem.num_dram_channels == 0
+        assert len(mem.onchip_banks) == 8
+
     def test_custom_axi_propagates(self):
         axi = AxiConfig(data_width_bits=512)
         assert u280_memory_system(axi=axi).axi.data_width_bits == 512

@@ -50,6 +50,9 @@ class TestMemoryTimingModel:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             MemoryTimingModel(dram_init_ns=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="dram_init_ns must be finite"):
+                MemoryTimingModel(dram_init_ns=bad)
         with pytest.raises(ValueError):
             MemoryTimingModel(onchip_latency_fraction=0.0)
         with pytest.raises(ValueError):

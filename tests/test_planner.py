@@ -1,5 +1,8 @@
 """Unit tests for the heuristic planner (Algorithm 1)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.planner import (
@@ -9,6 +12,7 @@ from repro.core.planner import (
 )
 from repro.core.tables import TableSpec
 from repro.memory.spec import u280_memory_system
+from repro.runtime import deploy_model
 from repro.memory.timing import default_timing_model
 from repro.models.spec import production_large, production_small
 
@@ -35,6 +39,21 @@ class TestPairCandidates:
 
     def test_empty(self):
         assert pair_candidates([]) == []
+
+
+class TestPlannerConfig:
+    @pytest.mark.parametrize("field", ["max_candidate_rows", "max_product_bytes"])
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_negative_cutoff_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            PlannerConfig(**{field: value})
+
+    def test_zero_cutoffs_allowed(self):
+        config = PlannerConfig(max_candidate_rows=0, max_product_bytes=0)
+        plan = plan_tables(
+            production_small().tables, u280_memory_system(), config=config
+        )
+        assert plan.merge_groups == []
 
 
 class TestPlanTables:
@@ -149,3 +168,42 @@ class TestProductionModelStories:
         """Paper: lookups cost less than 1 us on the small model."""
         plan = plan_tables(production_small().tables, memory, timing)
         assert plan.lookup_latency_ns < 1000.0
+
+
+def placement_hash(plan) -> str:
+    """First 12 hex digits of the sha256 of the sorted (members, bank) pairs."""
+    pairs = sorted(
+        [list(group.member_ids), bank]
+        for group, bank in plan.placement.bank_of.items()
+    )
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:12]
+
+
+class TestPinnedPlacements:
+    """Every production plan, pinned: a planner rewrite must not move it."""
+
+    @pytest.mark.parametrize(
+        "model,backend,max_rows,digest,evaluated,candidate_count",
+        [
+            ("small", "fpga", None, "c6d61b6acfce", 26, 10),
+            ("large", "fpga", None, "e152cbb23ab0", 52, 45),
+            ("small", "fpga", 4096, "115fe5d754ed", 47, 10),
+            ("dlrm-rmc2", "fpga", None, "58ad36433d31", 1, 0),
+            ("small", "fpga-compressed", 4096, "d7db82b84f5f", 47, 0),
+        ],
+    )
+    def test_pinned(
+        self, model, backend, max_rows, digest, evaluated, candidate_count
+    ):
+        plan = deploy_model(model, backend=backend, max_rows=max_rows).plan
+        assert placement_hash(plan) == digest
+        assert plan.evaluated == evaluated
+        assert plan.candidate_count == candidate_count
+
+    def test_precision_does_not_reach_the_planner(self):
+        plans = [
+            deploy_model("small", max_rows=4096, precision=precision).plan
+            for precision in ("fixed16", "fixed32")
+        ]
+        assert placement_hash(plans[0]) == placement_hash(plans[1])
+        assert plans[0].summary() == plans[1].summary()
