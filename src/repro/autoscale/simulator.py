@@ -703,16 +703,16 @@ def simulate_autoscale(
         raise ValueError(
             f"max_nodes {max_nodes} must be >= min_nodes {min_nodes}"
         )
-    if cooldown_s < 0:
-        raise ValueError(f"cooldown_s must be >= 0, got {cooldown_s}")
+    if not (math.isfinite(cooldown_s) and cooldown_s >= 0):
+        raise ValueError(f"cooldown_s must be finite and >= 0, got {cooldown_s}")
     if not 0 < headroom <= 1:
         raise ValueError(f"headroom must be in (0, 1], got {headroom}")
     interval_s = trace.duration_s / windows
     if provision_delay_s is None:
         provision_delay_s = interval_s
-    if provision_delay_s < 0:
+    if not (math.isfinite(provision_delay_s) and provision_delay_s >= 0):
         raise ValueError(
-            f"provision_delay_s must be >= 0, got {provision_delay_s}"
+            f"provision_delay_s must be finite and >= 0, got {provision_delay_s}"
         )
     perf = surface.perf()
     per_node_qps = perf.throughput_items_per_s

@@ -25,6 +25,8 @@ comparison flags every fresh result whose measured wall clock exceeds the
 
 from __future__ import annotations
 
+import math
+
 from repro.bench.schema import validate_payload
 
 #: The two regression directions: growth is worse, or shrinkage is.
@@ -270,8 +272,13 @@ def regressions(
     """Human-readable regression lines worse than ``threshold_pct``.
 
     Wall-clock budget exceedances are absolute ceilings, not deltas, so
-    they are reported regardless of ``threshold_pct``.
+    they are reported regardless of ``threshold_pct``, which must be
+    finite and >= 0 (a NaN threshold would pass every delta).
     """
+    if not (math.isfinite(threshold_pct) and threshold_pct >= 0):
+        raise ValueError(
+            f"threshold_pct must be finite and >= 0, got {threshold_pct}"
+        )
     lines = []
     wall_clock = comparison.get("wall_clock") or {}
     for record in wall_clock.get("entries", ()):

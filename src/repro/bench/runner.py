@@ -14,6 +14,7 @@ and wall-clock timings, and returns one schema-versioned payload (see
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from dataclasses import asdict, dataclass
@@ -22,7 +23,7 @@ from typing import Callable
 from repro.deploy.capacity import plan_fleet_sla
 from repro.models.spec import MODEL_FACTORIES
 from repro.runtime import available_backends, deploy_model
-from repro.serving.arrivals import ARRIVAL_PROCESSES
+from repro.serving.arrivals import ARRIVAL_PROCESSES, check_positive
 from repro.serving.lab import session_lab
 
 from repro.bench.schema import SCHEMA_VERSION, SUITE, validate_payload
@@ -178,22 +179,20 @@ class BenchConfig:
                 f"sharding_node_gb must be positive, got "
                 f"{self.sharding_node_gb}"
             )
-        if self.tiering_alpha < 0:
+        if not (math.isfinite(self.tiering_alpha) and self.tiering_alpha >= 0):
             raise ValueError(
-                f"tiering_alpha must be >= 0, got {self.tiering_alpha}"
+                f"tiering_alpha must be finite and >= 0, got "
+                f"{self.tiering_alpha}"
             )
         if not 0 < self.tiering_hot_fraction < 0.5:
             raise ValueError(
                 f"tiering_hot_fraction must be in (0, 0.5), got "
                 f"{self.tiering_hot_fraction}"
             )
-        if (
-            self.wall_clock_budget_multiplier is not None
-            and self.wall_clock_budget_multiplier <= 0
-        ):
-            raise ValueError(
-                f"wall_clock_budget_multiplier must be positive, got "
-                f"{self.wall_clock_budget_multiplier}"
+        if self.wall_clock_budget_multiplier is not None:
+            check_positive(
+                "wall_clock_budget_multiplier",
+                self.wall_clock_budget_multiplier,
             )
         if not _NAME_RE.match(self.name):
             raise ValueError(

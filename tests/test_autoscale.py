@@ -376,6 +376,17 @@ class TestSimulator:
                 gpu_session, trace, policy="warp-drive", slo_ms=30.0
             )
 
+    @pytest.mark.parametrize("field", ["cooldown_s", "provision_delay_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_frictions_must_be_finite(self, gpu_session, trace, field, value):
+        # Before, a NaN or infinite cool-down reached the result's JSON
+        # as NaN/Infinity, an infinite provisioning delay overflowed,
+        # and a NaN one failed converting to int.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            simulate_autoscale(
+                gpu_session, trace, slo_ms=30.0, **{field: value}
+            )
+
     def test_pipelined_fleet_scales_too(self, fpga_session):
         per_node = fpga_session.perf().throughput_items_per_s
         result = simulate_autoscale(
@@ -481,6 +492,17 @@ class TestCliAutoscale:
             captured = capsys.readouterr()
             assert "slo_ms" in captured.err
             assert "Traceback" not in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag", ["--cooldown-s", "--provision-delay-s"]
+    )
+    def test_non_finite_friction_exits_2(self, capsys, flag):
+        field = flag[2:].replace("-", "_")
+        for value in ("nan", "inf"):
+            assert main([*self.ARGS, f"{flag}={value}", "--json"]) == 2
+            captured = capsys.readouterr()
+            assert f"{field} must be finite" in captured.err
             assert captured.out == ""
 
     def test_flash_trace_runs(self, capsys):

@@ -148,6 +148,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="wall_clock_budget_multiplier"):
             BenchConfig(wall_clock_budget_multiplier=-3.0)
 
+    @pytest.mark.parametrize(
+        "field", ["wall_clock_budget_multiplier", "tiering_alpha"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_knob_names_its_field(self, field, value):
+        # Before, a NaN multiplier failed only after the whole sweep (the
+        # schema rejected the stamped budgets), and a NaN or infinite
+        # alpha slipped past a bare `< 0`, failing later as `alpha`.
+        with pytest.raises(ValueError, match=field):
+            BenchConfig(**{field: value})
+
     def test_tiering_knob_validation(self):
         with pytest.raises(ValueError, match="tiering_alpha"):
             BenchConfig(tiering_alpha=-0.1)
@@ -656,6 +667,16 @@ class TestCompare:
                 assert metric["delta_pct"] == 0.0
         assert regressions(comparison) == []
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_threshold_must_be_finite_and_non_negative(
+        self, payload, threshold
+    ):
+        # A NaN threshold disarmed the gate: `delta > nan` is never true.
+        with pytest.raises(ValueError, match="threshold_pct"):
+            regressions(
+                compare_payloads(payload, payload), threshold_pct=threshold
+            )
+
     def test_detects_regression_and_membership_changes(self, payload):
         slower = copy.deepcopy(payload)
         slower["results"] = [
@@ -921,6 +942,42 @@ class TestCliBench:
         ) == 1
         captured = capsys.readouterr()
         assert "regression" in captured.err
+
+    def test_non_finite_regression_threshold_exits_2(self, capsys, tmp_path):
+        # A baseline twice as fast as this sweep: every latency regressed.
+        args = ["bench", "--quick", "--backend", "cpu", "--batch", "1",
+                "--max-rows", "128"]
+        baseline = tmp_path / "BENCH_base.json"
+        assert main([*args, "--json", "--output", str(baseline)]) == 0
+        doctored = json.loads(baseline.read_text())
+        for result in doctored["results"]:
+            result["perf"]["latency_us"] /= 2
+        halved = tmp_path / "BENCH_halved.json"
+        write_payload(doctored, str(halved))
+        compare = [*args, "--output", str(tmp_path / "BENCH_new.json"),
+                   "--compare", str(halved)]
+        capsys.readouterr()
+        assert main([*compare, "--fail-on-regression", "5"]) == 1
+        assert "regression: small/cpu" in capsys.readouterr().err
+        # Before, NaN and inf disarmed the gate and these exited 0.
+        for value in ("nan", "inf", "-1"):
+            assert main([*compare, f"--fail-on-regression={value}"]) == 2
+            captured = capsys.readouterr()
+            assert "--fail-on-regression" in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_unreadable_baseline_fails_before_the_sweep(
+        self, capsys, tmp_path
+    ):
+        assert main(
+            ["bench", "--quick", "--backend", "cpu", "--batch", "1",
+             "--max-rows", "128", "--output", str(tmp_path / "x.json"),
+             "--compare", str(tmp_path / "missing.json")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--compare baseline rejected" in err
+        assert "bench small/cpu" not in err  # no engine was built
+        assert not (tmp_path / "x.json").exists()
 
     def test_fail_on_regression_requires_compare(self, capsys, tmp_path):
         assert main(

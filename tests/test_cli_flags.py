@@ -1,0 +1,148 @@
+"""Every numeric argument of every ``repro`` verb, generated from the parser.
+
+Each float gets ``nan``, ``inf``, ``-inf``, ``-1`` and ``0``; each int
+gets ``-1`` and ``0``.  A value must either run the verb to strict JSON
+(no ``NaN`` or ``Infinity``) or exit 2 with nothing on stdout and a
+message naming the flag or its dest, never a traceback.  Flags added
+later are covered without editing this file; only a new verb needs base
+arguments in :data:`BASE`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+import pytest
+
+from repro.cli import build_parser, main
+
+VALUES = {"float": ("nan", "inf", "-inf", "-1", "0"), "int": ("-1", "0")}
+
+#: The ``repro bench`` sweep of the cases, and of the baseline they
+#: ``--compare`` against (so every delta is 0 and the gate stays open).
+BENCH_SWEEP = [
+    "--quick", "--backend", "cpu", "--batch", "1", "--max-rows", "64",
+    "--no-cluster", "--no-autoscale", "--no-sharding", "--no-tiering",
+    "--no-telemetry",
+]
+
+#: Small, fast arguments per verb: (positionals by dest, options).
+#: ``{tmp}`` stands for the case's temporary directory and ``{baseline}``
+#: for the bench baseline.
+BASE: dict[str, tuple[dict[str, str], list[str]]] = {
+    "plan": ({"model": "small"}, ["--max-rows", "256"]),
+    "infer": ({"model": "small"}, ["--max-rows", "64", "--batch", "2"]),
+    "fleet": ({"model": "small", "qps": "100000"}, ["--max-rows", "64"]),
+    "serve": (
+        {"model": "small"},
+        ["--max-rows", "64", "--backend", "cpu", "--process", "poisson",
+         "--utilisation", "0.5", "--duration-s", "0.01"],
+    ),
+    "cluster": (
+        {"model": "small"},
+        ["--max-rows", "64", "--tier", "cpu", "--duration-s", "0.01"],
+    ),
+    "plan-shards": (
+        {"model": "small"},
+        ["--max-rows", "64", "--tier", "cpu:2", "--duration-s", "0.01"],
+    ),
+    "autoscale": (
+        {"model": "small"},
+        ["--max-rows", "64", "--backend", "cpu", "--policy", "static",
+         "--windows", "2", "--interval-s", "0.01"],
+    ),
+    "tiers": (
+        {"model": "small"},
+        ["--max-rows", "64", "--utilisation", "0.5", "--duration-s", "0.01",
+         "--warm-accesses", "256", "--sim-queries", "64"],
+    ),
+    "stats": (
+        {"model": "small"},
+        ["--max-rows", "64", "--duration-s", "0.01", "--spans"],
+    ),
+    "bench": (
+        {},
+        [*BENCH_SWEEP, "--output", "{tmp}/BENCH_flags.json",
+         "--compare", "{baseline}"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_baseline(tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("bench") / "BENCH_base.json")
+    assert main(["bench", *BENCH_SWEEP, "--output", path]) == 0
+    return path
+
+
+def _kind(action: argparse.Action) -> str | None:
+    """``"int"`` or ``"float"`` when the argument parses "1" as one."""
+    if action.type is None:
+        return None
+    try:
+        value = action.type("1")
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None  # a name, not a number
+    return type(value).__name__ if type(value) in (int, float) else None
+
+
+def _cases() -> list:
+    parser = build_parser()
+    (verbs,) = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    cases = []
+    for verb, verb_parser in verbs.choices.items():
+        for action in verb_parser._actions:
+            kind = _kind(action)
+            flag = action.option_strings[0] if action.option_strings else None
+            for value in VALUES.get(kind, ()):
+                cases.append(
+                    pytest.param(
+                        verb, flag, action.dest, value,
+                        id=f"{verb} {flag}={value}" if flag
+                        else f"{verb} {action.dest}={value}",
+                    )
+                )
+    return cases
+
+
+def _reject(constant: str):
+    raise ValueError(f"non-JSON constant {constant} on stdout")
+
+
+@pytest.mark.parametrize(("verb", "flag", "dest", "value"), _cases())
+def test_numeric_argument_fails_only_at_the_boundary(
+    capsys, tmp_path, bench_baseline, verb, flag, dest, value
+):
+    assert verb in BASE, f"add small base arguments for `repro {verb}`"
+    positionals, options = BASE[verb]
+    positionals = dict(positionals)
+    options = [
+        option.format(tmp=tmp_path, baseline=bench_baseline)
+        for option in options
+    ]
+    if flag is None:
+        positionals[dest] = value
+    else:
+        # `--flag=value`: spaced, argparse would take `-inf` for an option.
+        options.append(f"{flag}={value}")
+    argv = [verb, *options, "--json"]
+    if positionals:
+        argv += ["--", *positionals.values()]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        json.loads(out, parse_constant=_reject)
+        return
+    assert code == 2, f"repro {' '.join(argv)} exited {code}: {err}"
+    assert out == ""
+    assert "Traceback" not in err
+    assert (flag is not None and flag in err) or dest in err, err
+
+
+def test_the_walk_sees_every_verb_with_numbers():
+    verbs = {case.values[0] for case in _cases()}
+    assert verbs == set(BASE)
