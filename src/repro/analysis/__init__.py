@@ -2,8 +2,8 @@
 
 An AST-based invariant checker (``repro lint`` / ``python -m
 repro.analysis``) over the repo's Python sources, built around a
-string-keyed **rule registry** that mirrors the backend / router /
-scaler / strategy / cache-policy registries.  Six rules ship built in:
+**rule registry** (a :class:`repro.registry.Registry`).  Six rules ship
+built in:
 
 ========  ======================  =======================================
 code      slug                    invariant

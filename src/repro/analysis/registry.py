@@ -1,9 +1,8 @@
-"""String-keyed lint-rule registry.
+"""Lint-rule registry.
 
-Mirrors the backend / routing-policy / scaler / sharding-strategy /
-cache-policy registries: rules are *objects* registered under a string
-key at import time, the lookup error names every registered key, and
-third-party rules plug in the same way the built-ins do::
+Rules are *objects* registered at import time in a
+:class:`repro.registry.Registry`, and third-party rules plug in the same
+way the built-ins do::
 
     from repro.analysis import Rule, register_rule
 
@@ -27,6 +26,8 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.registry import Registry, UnknownNameError
+
 if TYPE_CHECKING:
     from repro.analysis.context import ModuleContext, ProjectContext
     from repro.analysis.findings import Finding
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
 RULE_CODE_RE = re.compile(r"^RPR\d{3}$")
 
 
-class UnknownRuleError(LookupError):
+class UnknownRuleError(UnknownNameError):
     """Raised when a rule code is not in the registry."""
 
 
@@ -71,50 +72,20 @@ class Rule:
         return ()
 
 
-_REGISTRY: dict[str, Rule] = {}
+_REGISTRY: Registry[Rule] = Registry("lint rule", "rules", UnknownRuleError)
+get_rule = _REGISTRY.get
+available_rules = _REGISTRY.names
 
 
 def register_rule(rule: Rule, *, replace: bool = False) -> Rule:
-    """Register ``rule`` under ``rule.name``.
-
-    Returns the rule so the call can be used as a one-liner on an
-    instance.  Re-registering a code requires ``replace=True``, the
-    same shadowing guard as every other registry in the project.
-    """
+    """:meth:`Registry.register <repro.registry.Registry.register>` for a
+    rule whose code matches ``RPR###``, the suppression-comment format."""
     name = getattr(rule, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"rule {rule!r} must expose a str .name")
-    if not RULE_CODE_RE.match(name):
+    if isinstance(name, str) and not RULE_CODE_RE.match(name):
         raise ValueError(
             f"rule code {name!r} must match RPR### (e.g. 'RPR001')"
         )
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"rule {name!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _REGISTRY[name] = rule
-    return rule
-
-
-def get_rule(name: str) -> Rule:
-    """Look up a registered rule by code.
-
-    Raises :class:`UnknownRuleError` naming every registered rule, so
-    a typo's fix is in the error message.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownRuleError(
-            f"unknown lint rule {name!r}; registered rules: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_rules() -> tuple[str, ...]:
-    """Sorted codes of every registered rule."""
-    return tuple(sorted(_REGISTRY))
+    return _REGISTRY.register(rule, replace=replace)
 
 
 def iter_rules(

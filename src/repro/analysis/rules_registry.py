@@ -1,8 +1,10 @@
 """RPR004 — registry hygiene.
 
-The project is held together by five string-keyed registries (backends,
-routing policies, scalers, sharding strategies, cache policies) plus
-the lint-rule registry itself.  Three conventions keep them debuggable:
+The project is held together by seven string-keyed registries
+(backends, routing policies, scalers, sharding strategies, cache
+policies, telemetry exporters and the lint rules themselves), all built
+on :class:`repro.registry.Registry`.  Three conventions keep them
+debuggable:
 
 * registry keys are **static** — either a string literal argument or a
   string-literal ``name`` class attribute on the registered object;
@@ -165,9 +167,9 @@ class RegistryHygieneRule(Rule):
         "and Unknown*Error raisers name the available keys"
     )
     rationale = (
-        "five registries resolve every CLI flag; a computed or "
-        "shadowed key turns a typo into silent misrouting instead of "
-        "an actionable error"
+        "seven registries built on repro.registry resolve every CLI "
+        "flag; a computed or shadowed key turns a typo into silent "
+        "misrouting instead of an actionable error"
     )
 
     def __init__(self) -> None:

@@ -1,9 +1,9 @@
 """Autoscaling control plane: elastic fleets driven by rate traces.
 
 Every serving layer below this one replays traffic against a *fixed*
-fleet.  This package adds the missing loop: a string-keyed **scaler
-registry** (:mod:`repro.autoscale.policies`, mirroring the backend and
-routing-policy registries) and a discrete-time **autoscaling simulator**
+fleet.  This package adds the missing loop: a **scaler registry**
+(:mod:`repro.autoscale.policies`, a :class:`repro.registry.Registry`)
+and a discrete-time **autoscaling simulator**
 (:mod:`repro.autoscale.simulator`) that resizes a fleet of any
 :class:`~repro.runtime.session.ServingSurface` — single-engine sessions
 and routed clusters alike — through a

@@ -3,10 +3,8 @@
 A *scaler policy* looks at what just happened in one control window of an
 autoscaling simulation (:mod:`repro.autoscale.simulator`) and answers
 with a desired fleet size.  Policies register under short names in a
-string-keyed registry exactly like the inference-backend and
-routing-policy registries (:mod:`repro.runtime.backend`,
-:mod:`repro.cluster.routing`): the simulator, the CLI, the bench runner,
-and the experiments all select scalers by name.
+:class:`repro.registry.Registry`: the simulator, the CLI, the bench
+runner, and the experiments all select scalers by name.
 
 Five policies ship by default:
 
@@ -60,11 +58,13 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.registry import Registry, UnknownNameError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.arrivals import RateTrace
 
 
-class UnknownScalerError(LookupError):
+class UnknownScalerError(UnknownNameError):
     """Raised when a scaler-policy name is not in the registry."""
 
 
@@ -158,49 +158,12 @@ class ScalerPolicy(Protocol):
         ...
 
 
-_REGISTRY: dict[str, ScalerPolicy] = {}
-
-
-def register_scaler(
-    scaler: ScalerPolicy, *, replace: bool = False
-) -> ScalerPolicy:
-    """Register ``scaler`` under ``scaler.name``.
-
-    Returns the scaler so the call can be used as a one-liner on an
-    instance.  Re-registering a name requires ``replace=True`` — the
-    same shadowing guard as :func:`repro.runtime.register_backend` and
-    :func:`repro.cluster.register_policy`.
-    """
-    name = getattr(scaler, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"scaler {scaler!r} must expose a str .name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"scaler policy {name!r} is already registered; pass "
-            "replace=True to override"
-        )
-    _REGISTRY[name] = scaler
-    return scaler
-
-
-def get_scaler(name: str) -> ScalerPolicy:
-    """Look up a registered scaler policy by name.
-
-    Raises :class:`UnknownScalerError` naming every registered policy,
-    so a typo's fix is in the error message.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownScalerError(
-            f"unknown scaler policy {name!r}; registered policies: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_scalers() -> tuple[str, ...]:
-    """Sorted names of every registered scaler policy."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[ScalerPolicy] = Registry(
+    "scaler policy", "policies", UnknownScalerError
+)
+register_scaler = _REGISTRY.register
+get_scaler = _REGISTRY.get
+available_scalers = _REGISTRY.names
 
 
 # ---------------------------------------------------------------------------

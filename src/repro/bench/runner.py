@@ -123,17 +123,9 @@ class BenchConfig:
             raise ValueError(f"duplicate batches in {self.batches}")
         if self.max_rows is not None and self.max_rows <= 0:
             raise ValueError(f"max_rows must be positive, got {self.max_rows}")
-        if self.target_qps <= 0:
-            raise ValueError(
-                f"target_qps must be positive, got {self.target_qps}"
-            )
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {self.slo_ms}")
-        if self.serve_duration_s <= 0:
-            raise ValueError(
-                f"serve_duration_s must be positive, got "
-                f"{self.serve_duration_s}"
-            )
+        check_positive("target_qps", self.target_qps)
+        check_positive("slo_ms", self.slo_ms)
+        check_positive("serve_duration_s", self.serve_duration_s)
         if not self.serve_processes:
             raise ValueError("serve_processes must not be empty")
         if len(set(self.serve_processes)) != len(self.serve_processes):
@@ -150,20 +142,13 @@ class BenchConfig:
             )
         if not self.serve_utilisations:
             raise ValueError("serve_utilisations must not be empty")
-        if any(u <= 0 for u in self.serve_utilisations):
-            raise ValueError(
-                f"serve_utilisations must be positive, got "
-                f"{self.serve_utilisations}"
-            )
+        for utilisation in self.serve_utilisations:
+            check_positive("serve_utilisations", utilisation)
         if len(set(self.cluster_backends)) != len(self.cluster_backends):
             raise ValueError(
                 f"duplicate cluster_backends in {self.cluster_backends}"
             )
-        if self.cluster_utilisation <= 0:
-            raise ValueError(
-                f"cluster_utilisation must be positive, got "
-                f"{self.cluster_utilisation}"
-            )
+        check_positive("cluster_utilisation", self.cluster_utilisation)
         if self.autoscale_windows <= 0:
             raise ValueError(
                 f"autoscale_windows must be positive, got "
@@ -174,11 +159,7 @@ class BenchConfig:
                 f"sharding_nodes must be positive, got "
                 f"{self.sharding_nodes}"
             )
-        if self.sharding_node_gb <= 0:
-            raise ValueError(
-                f"sharding_node_gb must be positive, got "
-                f"{self.sharding_node_gb}"
-            )
+        check_positive("sharding_node_gb", self.sharding_node_gb)
         if not (math.isfinite(self.tiering_alpha) and self.tiering_alpha >= 0):
             raise ValueError(
                 f"tiering_alpha must be finite and >= 0, got "

@@ -1444,12 +1444,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     a registry's unknown-name error prints its one-line message.  Any
     other exception is a bug and keeps its traceback.
     """
-    from repro.autoscale import UnknownScalerError
-    from repro.cluster import UnknownRoutingPolicyError
-    from repro.distplan import UnknownShardingStrategyError
-    from repro.memory import UnknownCachePolicyError
-    from repro.runtime import UnknownBackendError
-    from repro.telemetry import UnknownExporterError
+    from repro.registry import UnknownNameError
 
     try:
         args = build_parser().parse_args(argv)
@@ -1462,12 +1457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         argparse.ArgumentTypeError,  # a --tier naming an unknown model
         ValueError,
-        UnknownBackendError,
-        UnknownRoutingPolicyError,
-        UnknownScalerError,
-        UnknownShardingStrategyError,
-        UnknownCachePolicyError,
-        UnknownExporterError,
+        UnknownNameError,
     ) as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -4,9 +4,9 @@ This package composes the layers below it into the deployment shape real
 recommendation fleets run: several models on a mix of accelerator tiers,
 behind one routed serving surface.
 
-* :mod:`repro.cluster.routing` — the string-keyed routing-policy
-  registry (``round-robin``, ``least-loaded``, ``cheapest-first``,
-  ``sla-aware``) mirroring the inference-backend registry;
+* :mod:`repro.cluster.routing` — the routing-policy registry
+  (``round-robin``, ``least-loaded``, ``cheapest-first``,
+  ``sla-aware``), a :class:`repro.registry.Registry`;
 * :mod:`repro.cluster.cluster` — :class:`Cluster`, a set of
   :class:`~repro.runtime.session.Session` replicas implementing the same
   :class:`~repro.runtime.session.ServingSurface` as a single session,

@@ -56,13 +56,6 @@ ACCELERATOR_RATES: dict[str, float] = {
     "nmp": 2.18,
 }
 
-#: Long-standing aliases into :data:`ACCELERATOR_RATES` (kept for callers
-#: that imported the scalar names).
-FPGA_USD_PER_HOUR = ACCELERATOR_RATES["fpga"]
-CPU_USD_PER_HOUR = ACCELERATOR_RATES["cpu"]
-GPU_USD_PER_HOUR = ACCELERATOR_RATES["gpu"]
-NMP_USD_PER_HOUR = ACCELERATOR_RATES["nmp"]
-
 
 def accelerator_rate(backend: str) -> float:
     """Hourly node rate for a backend name.
@@ -343,8 +336,8 @@ def plan_fleet(
     cpu_model: CpuCostModel,
     cpu_batch: int = 2048,
     headroom: float = 0.7,
-    fpga_usd_per_hour: float = FPGA_USD_PER_HOUR,
-    cpu_usd_per_hour: float = CPU_USD_PER_HOUR,
+    fpga_usd_per_hour: float = ACCELERATOR_RATES["fpga"],
+    cpu_usd_per_hour: float = ACCELERATOR_RATES["cpu"],
 ) -> dict[str, FleetPlan]:
     """Size FPGA and CPU fleets for ``target_qps``.
 

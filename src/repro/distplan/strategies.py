@@ -1,9 +1,6 @@
 """Sharding strategies: registry + table-wise / row-wise / column-wise.
 
-The fourth string-keyed registry in the library, with the same contract
-as backends (:mod:`repro.runtime.backend`), routing policies
-(:mod:`repro.cluster.routing`), and scaler policies
-(:mod:`repro.autoscale.policies`): strategies are named objects,
+Strategies are named objects in a :class:`repro.registry.Registry`:
 :func:`get_strategy` raises :class:`UnknownShardingStrategyError` naming
 every registered strategy, and the CLI lists them live.
 
@@ -32,9 +29,10 @@ from typing import Protocol, Sequence, runtime_checkable
 from repro.core.tables import TableSpec
 from repro.distplan.plan import ShardingPlanError, TableShard, check_tables_fit
 from repro.distplan.topology import NodeView
+from repro.registry import Registry, UnknownNameError
 
 
-class UnknownShardingStrategyError(LookupError):
+class UnknownShardingStrategyError(UnknownNameError):
     """Raised when a sharding-strategy name is not in the registry."""
 
 
@@ -53,49 +51,12 @@ class ShardingStrategy(Protocol):
         ...
 
 
-_REGISTRY: dict[str, ShardingStrategy] = {}
-
-
-def register_strategy(
-    strategy: ShardingStrategy, *, replace: bool = False
-) -> ShardingStrategy:
-    """Register ``strategy`` under ``strategy.name``.
-
-    Returns the strategy so the call can be used as a one-liner on an
-    instance.  Re-registering a name requires ``replace=True`` to guard
-    against accidental shadowing — the same contract as
-    :func:`repro.runtime.register_backend`.
-    """
-    name = getattr(strategy, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"strategy {strategy!r} must expose a str .name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"sharding strategy {name!r} is already registered; pass "
-            "replace=True to override"
-        )
-    _REGISTRY[name] = strategy
-    return strategy
-
-
-def get_strategy(name: str) -> ShardingStrategy:
-    """Look up a registered sharding strategy by name.
-
-    Raises :class:`UnknownShardingStrategyError` naming every registered
-    strategy, so a typo's fix is in the error message.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownShardingStrategyError(
-            f"unknown sharding strategy {name!r}; registered strategies: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_strategies() -> tuple[str, ...]:
-    """Sorted names of every registered sharding strategy."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[ShardingStrategy] = Registry(
+    "sharding strategy", "strategies", UnknownShardingStrategyError
+)
+register_strategy = _REGISTRY.register
+get_strategy = _REGISTRY.get
+available_strategies = _REGISTRY.names
 
 
 # ---------------------------------------------------------------------------

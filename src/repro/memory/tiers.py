@@ -10,11 +10,11 @@ This module makes hot-row caching a first-class layer:
   :mod:`repro.memory.timing` (see :func:`default_tier_hierarchy`), with
   a cascade simulator that replays a key trace through per-tier caches
   and reports where each lookup was served (:class:`TierLookupStats`);
-* a string-keyed **cache-policy registry** mirroring the backend /
-  router / scaler / strategy registries: ``lru``, ``lfu`` and
-  ``admit-on-second-touch`` ship built in, :func:`register_cache_policy`
-  adds plug-ins, :func:`get_cache_policy` resolves names and raises
-  :class:`UnknownCachePolicyError` with the available names on a typo.
+* a **cache-policy registry** (a :class:`repro.registry.Registry`):
+  ``lru``, ``lfu`` and ``admit-on-second-touch`` ship built in,
+  :func:`register_cache_policy` adds plug-ins, :func:`get_cache_policy`
+  resolves names and raises :class:`UnknownCachePolicyError` with the
+  registered names on a typo.
 
 Each built-in policy replays a trace in one pass over its keys as Python
 ints, marking hits in a list that becomes the bool array once: ``lru``
@@ -55,6 +55,7 @@ from repro.memory.spec import (
     u280_memory_system,
 )
 from repro.memory.timing import MemoryTimingModel, default_timing_model
+from repro.registry import Registry, UnknownNameError
 
 #: DDR sits behind 2 channels where HBM has 32 pseudo-channels, so under
 #: concurrent lookup traffic a DDR access pays a queueing/serialisation
@@ -70,7 +71,7 @@ DEFAULT_HOST_ACCESS_NS = 12_000.0
 DEFAULT_ROW_BYTES = 128
 
 
-class UnknownCachePolicyError(LookupError):
+class UnknownCachePolicyError(UnknownNameError):
     """Raised when a cache-policy name is not in the registry."""
 
 
@@ -212,44 +213,12 @@ class AdmitOnSecondTouchPolicy:
 # Cache-policy registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, CachePolicy] = {}
-
-
-def register_cache_policy(
-    policy: CachePolicy, *, replace: bool = False
-) -> None:
-    """Register a cache policy under ``policy.name``.
-
-    Refuses to overwrite an existing name unless ``replace=True``, so
-    plug-ins cannot silently shadow the built-ins.
-    """
-    name = getattr(policy, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ValueError(
-            f"cache policy {policy!r} needs a non-empty string .name"
-        )
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"cache policy {name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[name] = policy
-
-
-def get_cache_policy(name: str) -> CachePolicy:
-    """Look up a registered cache policy by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownCachePolicyError(
-            f"unknown cache policy {name!r}; available: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_cache_policies() -> tuple[str, ...]:
-    """Sorted names of every registered cache policy."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[CachePolicy] = Registry(
+    "cache policy", "policies", UnknownCachePolicyError
+)
+register_cache_policy = _REGISTRY.register
+get_cache_policy = _REGISTRY.get
+available_cache_policies = _REGISTRY.names
 
 
 DEFAULT_CACHE_POLICIES: tuple[CachePolicy, ...] = (

@@ -3,9 +3,10 @@
 A *backend* knows how to turn a :class:`~repro.models.spec.ModelSpec` into
 a live :class:`~repro.runtime.session.Session` — a deployed engine with a
 uniform inference/performance/serving surface.  Backends register under
-short names (``"fpga"``, ``"fpga-compressed"``, ``"cpu"``, ...); everything
-above this layer — :func:`repro.deploy_model`, the CLI, experiments —
-selects engines by name and never touches engine constructors directly.
+short names (``"fpga"``, ``"fpga-compressed"``, ``"cpu"``, ...) in a
+:class:`repro.registry.Registry`; everything above this layer —
+:func:`repro.deploy_model`, the CLI, experiments — selects engines by name
+and never touches engine constructors directly.
 
 Third-party or experimental backends plug in with::
 
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from repro.registry import Registry, UnknownNameError
+
 if TYPE_CHECKING:
     from repro.core.planner import PlannerConfig
     from repro.memory.spec import MemorySystemSpec
@@ -33,7 +36,7 @@ if TYPE_CHECKING:
     from repro.runtime.session import Session
 
 
-class UnknownBackendError(LookupError):
+class UnknownBackendError(UnknownNameError):
     """Raised when a backend name is not in the registry."""
 
 
@@ -66,45 +69,9 @@ class InferenceBackend(Protocol):
         ...
 
 
-_REGISTRY: dict[str, InferenceBackend] = {}
-
-
-def register_backend(
-    backend: InferenceBackend, *, replace: bool = False
-) -> InferenceBackend:
-    """Register ``backend`` under ``backend.name``.
-
-    Returns the backend so the call can be used as a decorator-style
-    one-liner on an instance.  Re-registering a name requires
-    ``replace=True`` to guard against accidental shadowing.
-    """
-    name = getattr(backend, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend {backend!r} must expose a str .name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"backend {name!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def get_backend(name: str) -> InferenceBackend:
-    """Look up a registered backend by name.
-
-    Raises :class:`UnknownBackendError` naming every registered backend,
-    so a typo's fix is in the error message.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Sorted names of every registered backend."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[InferenceBackend] = Registry(
+    "backend", "backends", UnknownBackendError
+)
+register_backend = _REGISTRY.register
+get_backend = _REGISTRY.get
+available_backends = _REGISTRY.names

@@ -12,9 +12,9 @@ ten-million-arrival replays afford always-on collection.
   through;
 * :mod:`repro.telemetry.metrics` — :class:`MetricRegistry` (counters,
   gauges, digest-backed histograms), the :class:`Telemetry` hub the
-  serving stack's ``telemetry=`` hooks accept, and the string-keyed
-  exporter registry (``json`` / ``prometheus-text`` / ``table``)
-  mirroring the repo's other registries;
+  serving stack's ``telemetry=`` hooks accept, and the exporter
+  registry (``json`` / ``prometheus-text`` / ``table``), a
+  :class:`repro.registry.Registry`;
 * :mod:`repro.telemetry.spans` — :class:`RequestSpan` phase breakdowns
   (route-decision → queue-wait → service → tier-lookup → gather) with
   :class:`SpanRecorder`'s seeded, hard-capped sampling.

@@ -6,14 +6,10 @@ backed by :class:`~repro.telemetry.digest.QuantileDigest` — O(bins)
 tails instead of O(requests) arrays, which is what makes always-on
 collection affordable on ten-million-arrival replays.
 
-Rendering a snapshot goes through the **exporter registry**, the same
-string-keyed shape as the backend / router / scaler / strategy /
-cache-policy / rule registries elsewhere in the repo: ``json`` for
-machine diffing, ``prometheus-text`` for the exposition format scrape
-pipelines expect, ``table`` for humans.  ``register_exporter`` /
-``available_exporters`` / :class:`UnknownExporterError` follow the
-house rules (checked by the RPR004 lint rule), and unknown names fail
-listing every registered key.
+Rendering a snapshot goes through the **exporter registry**, a
+:class:`repro.registry.Registry`: ``json`` for machine diffing,
+``prometheus-text`` for the exposition format scrape pipelines expect,
+``table`` for humans.
 
 :class:`Telemetry` bundles one registry with an optional span recorder
 — the single object the ``telemetry=`` hooks across the serving stack
@@ -27,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.registry import Registry, UnknownNameError
 from repro.telemetry.digest import QuantileDigest
 from repro.telemetry.spans import SpanRecorder
 
@@ -210,7 +207,7 @@ class Telemetry:
 # -- exporter registry -------------------------------------------------
 
 
-class UnknownExporterError(LookupError):
+class UnknownExporterError(UnknownNameError):
     """Raised for exporter names nothing has registered."""
 
 
@@ -302,42 +299,12 @@ class TableExporter:
         return "\n".join(lines) + "\n"
 
 
-_REGISTRY: dict[str, object] = {}
-
-
-def register_exporter(exporter: object, *, replace: bool = False) -> None:
-    """Register an exporter under its ``name`` key.
-
-    Same contract as the other registries: the name must be a string,
-    and re-registering an existing key requires ``replace=True``.
-    """
-    name = getattr(exporter, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ValueError(
-            f"exporter {exporter!r} needs a non-empty string `name`"
-        )
-    if not replace and name in _REGISTRY:
-        raise ValueError(
-            f"exporter {name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    _REGISTRY[name] = exporter
-
-
-def get_exporter(name: str) -> object:
-    """Look up a registered exporter by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownExporterError(
-            f"unknown exporter {name!r}; registered exporters: "
-            f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-        ) from None
-
-
-def available_exporters() -> tuple[str, ...]:
-    """Sorted names of every registered exporter."""
-    return tuple(sorted(_REGISTRY))
+_REGISTRY: Registry[object] = Registry(
+    "exporter", "exporters", UnknownExporterError
+)
+register_exporter = _REGISTRY.register
+get_exporter = _REGISTRY.get
+available_exporters = _REGISTRY.names
 
 
 DEFAULT_EXPORTERS: tuple = (

@@ -85,7 +85,7 @@ class TestRuleRegistry:
                 register_rule(ProbeRule())
             register_rule(ProbeRule(), replace=True)
         finally:
-            _REGISTRY.pop("RPR998", None)
+            _REGISTRY.entries.pop("RPR998", None)
 
     def test_epilog_lists_every_rule(self):
         epilog = rules_epilog()

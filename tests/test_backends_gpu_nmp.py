@@ -24,12 +24,7 @@ from repro import (
 from repro.baselines.gpu import GpuCostModel, GpuSpec
 from repro.baselines.nmp import NmpCostModel, NmpSpec
 from repro.cli import main
-from repro.deploy.capacity import (
-    CPU_USD_PER_HOUR,
-    GPU_USD_PER_HOUR,
-    NMP_USD_PER_HOUR,
-    plan_fleet_for,
-)
+from repro.deploy.capacity import ACCELERATOR_RATES, plan_fleet_for
 from repro.models.spec import production_small
 from repro.runtime.backends import (
     DEFAULT_CPU_SERVING_BATCH,
@@ -87,7 +82,7 @@ class TestPerfMatchesRawCostModels:
         assert est.throughput_gops == raw.throughput_gops(batch)
         assert est.ii_ns == 1e9 / raw.throughput_items_per_s(batch)
         assert est.bottleneck == raw.bottleneck(batch)
-        assert est.usd_per_hour == GPU_USD_PER_HOUR
+        assert est.usd_per_hour == ACCELERATOR_RATES["gpu"]
 
     def test_nmp_bit_for_bit(self, scaled_model, sessions):
         est = sessions["nmp"].perf()
@@ -98,7 +93,7 @@ class TestPerfMatchesRawCostModels:
         assert est.serving_latency_ms == raw.end_to_end_latency_ms(batch)
         assert est.throughput_items_per_s == raw.throughput_items_per_s(batch)
         assert est.throughput_gops == raw.throughput_gops(batch)
-        assert est.usd_per_hour == NMP_USD_PER_HOUR
+        assert est.usd_per_hour == ACCELERATOR_RATES["nmp"]
 
     def test_batch_latency_curves_are_the_raw_curves(
         self, scaled_model, sessions
@@ -238,7 +233,8 @@ class TestPaperOrdering:
             assert cpu_ms / nmp_ms < nmp.nmp.lookup_speedup
 
     def test_node_rate_ordering(self):
-        assert CPU_USD_PER_HOUR < NMP_USD_PER_HOUR < GPU_USD_PER_HOUR
+        rates = ACCELERATOR_RATES
+        assert rates["cpu"] < rates["nmp"] < rates["gpu"]
 
 
 class TestKnobs:

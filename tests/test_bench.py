@@ -149,13 +149,26 @@ class TestConfig:
             BenchConfig(wall_clock_budget_multiplier=-3.0)
 
     @pytest.mark.parametrize(
-        "field", ["wall_clock_budget_multiplier", "tiering_alpha"]
+        "field",
+        [
+            "wall_clock_budget_multiplier",
+            "tiering_alpha",
+            "target_qps",
+            "slo_ms",
+            "serve_duration_s",
+            "cluster_utilisation",
+            "sharding_node_gb",
+            "serve_utilisations",
+        ],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_knob_names_its_field(self, field, value):
         # Before, a NaN multiplier failed only after the whole sweep (the
         # schema rejected the stamped budgets), and a NaN or infinite
-        # alpha slipped past a bare `< 0`, failing later as `alpha`.
+        # alpha slipped past a bare `< 0`, failing later as `alpha`; the
+        # other fields' bare `<= 0` let NaN and inf construct.
+        if field == "serve_utilisations":
+            value = (0.5, value)
         with pytest.raises(ValueError, match=field):
             BenchConfig(**{field: value})
 
@@ -977,6 +990,20 @@ class TestCliBench:
         err = capsys.readouterr().err
         assert "--compare baseline rejected" in err
         assert "bench small/cpu" not in err  # no engine was built
+        assert not (tmp_path / "x.json").exists()
+
+    def test_non_finite_qps_fails_before_the_config_summary(
+        self, capsys, tmp_path
+    ):
+        # Before, the summary printed `target_qps=nan` before the first
+        # fleet sizing rejected it.
+        assert main(
+            ["bench", "--quick", "--qps=nan",
+             "--output", str(tmp_path / "x.json")]
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "target_qps must be positive and finite, got nan\n"
         assert not (tmp_path / "x.json").exists()
 
     def test_fail_on_regression_requires_compare(self, capsys, tmp_path):

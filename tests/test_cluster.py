@@ -112,7 +112,7 @@ class TestRoutingRegistry:
             assert result.tier_counts()["cpu"] == 0
             assert result.tier_counts()["fpga"] == result.count
         finally:
-            del _REGISTRY["always-first-test"]
+            del _REGISTRY.entries["always-first-test"]
 
 
 def _views(sessions, names):
@@ -316,22 +316,15 @@ class TestClusterServingResult:
 
 def cluster_sessions(result: ClusterServingResult):
     """Hourly-rate stand-ins matching the result's replica set."""
-    from repro.deploy.capacity import (
-        CPU_USD_PER_HOUR,
-        FPGA_USD_PER_HOUR,
-        GPU_USD_PER_HOUR,
-    )
+    from repro.deploy.capacity import ACCELERATOR_RATES
 
     class _Node:
         def __init__(self, usd):
             self.usd_per_hour = usd
 
-    rates = {
-        "fpga": FPGA_USD_PER_HOUR,
-        "gpu": GPU_USD_PER_HOUR,
-        "cpu": CPU_USD_PER_HOUR,
-    }
-    return [_Node(rates[name]) for name in result.replica_backends]
+    return [
+        _Node(ACCELERATOR_RATES[name]) for name in result.replica_backends
+    ]
 
 
 class TestClusterSurface:

@@ -22,19 +22,14 @@ def cpu_model():
 
 
 class TestAcceleratorRates:
-    def test_aliases_point_into_the_table(self):
-        from repro.deploy.capacity import (
-            ACCELERATOR_RATES,
-            CPU_USD_PER_HOUR,
-            FPGA_USD_PER_HOUR,
-            GPU_USD_PER_HOUR,
-            NMP_USD_PER_HOUR,
-        )
+    def test_plan_fleet_defaults_point_into_the_table(self):
+        import inspect
 
-        assert FPGA_USD_PER_HOUR == ACCELERATOR_RATES["fpga"]
-        assert CPU_USD_PER_HOUR == ACCELERATOR_RATES["cpu"]
-        assert GPU_USD_PER_HOUR == ACCELERATOR_RATES["gpu"]
-        assert NMP_USD_PER_HOUR == ACCELERATOR_RATES["nmp"]
+        from repro.deploy.capacity import ACCELERATOR_RATES
+
+        params = inspect.signature(plan_fleet).parameters
+        assert params["fpga_usd_per_hour"].default == ACCELERATOR_RATES["fpga"]
+        assert params["cpu_usd_per_hour"].default == ACCELERATOR_RATES["cpu"]
 
     def test_rate_helper_maps_variants_to_their_family(self):
         from repro.deploy.capacity import ACCELERATOR_RATES, accelerator_rate

@@ -76,9 +76,9 @@ class TestRegistry:
 
     def test_duplicate_requires_replace(self, monkeypatch):
         monkeypatch.setattr(
-            strategies_module,
-            "_REGISTRY",
-            dict(strategies_module._REGISTRY),
+            strategies_module._REGISTRY,
+            "entries",
+            dict(strategies_module._REGISTRY.entries),
         )
 
         class Dummy:

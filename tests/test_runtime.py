@@ -86,7 +86,7 @@ class TestRegistry:
             assert register_backend(second, replace=True) is second
             assert get_backend("stub-backend-test") is second
         finally:
-            del _REGISTRY["stub-backend-test"]
+            del _REGISTRY.entries["stub-backend-test"]
         # Once unregistered, lookups fail with the full name list again.
         with pytest.raises(UnknownBackendError) as err:
             get_backend("stub-backend-test")
