@@ -83,7 +83,7 @@ def _known(kind: str, available: Iterable[str]):
     def parse(text: str) -> str:
         if text not in names:
             raise argparse.ArgumentTypeError(
-                f"unknown {kind} {text!r}; available: {names}"
+                f"unknown {kind} {text!r}; available: {', '.join(names)}"
             )
         return text
 

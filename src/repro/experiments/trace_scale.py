@@ -5,7 +5,7 @@ diurnal :class:`~repro.serving.arrivals.RateTrace` is realised as ~10
 million arrival timestamps and replayed through every serving layer —
 the pipelined FPGA queueing model, the batched CPU queueing model, and a
 routed three-tier cluster — with the wall clock of each phase reported
-next to its latency statistics.  Before the stage-major / batch-major
+next to its latency statistics.  Before the running-maximum / batch-major
 rewrites this replay took minutes of interpreter time; the vectorised
 paths finish the whole table in seconds, which is what makes the
 web-scale sweeps (section 5's million-QPS operating points) tractable on
@@ -144,6 +144,7 @@ def run() -> ExperimentResult:
             "latency columns are deterministic under the seed",
             "pre-vectorisation this table took minutes of interpreter "
             "time — the hot paths are the routed virtual queues, the "
-            "stage-major pipeline sweeps, and the batch-major CPU loop",
+            "pipelined server's running maximum, and the batch-major CPU "
+            "loop",
         ],
     )

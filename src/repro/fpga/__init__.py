@@ -20,7 +20,6 @@ from repro.fpga.eventsim import (
     PipelineSimulator,
     SimResult,
     SimStage,
-    simulate_with_lookup_jitter,
     validate_against_analytical,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "PipelineSimulator",
     "SimStage",
     "SimResult",
-    "simulate_with_lookup_jitter",
     "validate_against_analytical",
 ]

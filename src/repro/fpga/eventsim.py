@@ -8,13 +8,13 @@ its output FIFO is full (backpressure) and starves when its input FIFO is
 empty — so the analytical shortcuts can be checked rather than trusted:
 
 * with reasonable FIFO depths the simulated steady-state throughput matches
-  ``1 / max(ii)`` and the first item's latency matches the latency sum;
+  ``1 / max(ii)``, the first item's latency matches the latency sum, and
+  the analytic bottleneck is among the stages that pace the full pipeline;
 * with depth-1 FIFOs and mismatched stage IIs the simulator exposes the
   backpressure coupling the closed form ignores.
 
 The simulator also supports per-item jitter via an item-indexed latency
-callback (used to model variable lookup times under the queuing DRAM
-model) and records per-item timelines for tracing.
+callback and records per-item timelines for tracing.
 
 Implementation: each stage is processed with simple event-time bookkeeping
 rather than a full event queue — stage ``s`` can start item ``i`` when
@@ -23,15 +23,6 @@ previous item at least ``ii`` earlier, and (c) the downstream FIFO has a
 free slot, i.e. item ``i - depth`` has already left stage ``s+1``.  This
 recurrence is exact for in-order linear pipelines and runs in
 ``O(items x stages)``.
-
-The recurrence is evaluated with vectorised stage-major sweeps rather
-than the item-major Python double loop: constraint (b) telescopes, so a
-whole stage's entry times are one ``np.maximum.accumulate`` over
-offset-shifted ready times, and the backward-coupling constraint (c) is
-closed by re-sweeping until a fixed point (monotone, converges to the
-exact least solution — usually two or three sweeps).  The original
-item-major loop survives as :meth:`PipelineSimulator._run_scalar`, the
-reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -48,11 +39,10 @@ from repro.fpga.pipeline import PipelineModel
 class SimStage:
     """A stage instance for simulation.
 
-    ``latency_ns`` is either a plain number (constant per-item latency —
-    lets the simulator build the latency timeline without ``items``
-    Python calls) or an item-indexed callback ``latency(i)`` for
-    data-dependent latencies (e.g. variable lookups); ``ii_ns`` is the
-    minimum spacing between successive initiations.
+    ``latency_ns`` is either a plain number (constant per-item latency)
+    or an item-indexed callback ``latency(i)`` for data-dependent
+    latencies (e.g. variable lookups); ``ii_ns`` is the minimum spacing
+    between successive initiations.
     """
 
     name: str
@@ -68,22 +58,6 @@ class SimStage:
             raise ValueError(f"{self.name}: ii must be >= 0")
         if self.fifo_depth < 1:
             raise ValueError(f"{self.name}: fifo_depth must be >= 1")
-
-    def latency_at(self, i: int) -> float:
-        """Per-item latency, whether constant or callback-backed."""
-        lat = self.latency_ns
-        return float(lat(i)) if callable(lat) else float(lat)
-
-    def latency_timeline(self, items: int) -> np.ndarray:
-        """Latencies for items ``0..items-1`` as one float64 array."""
-        lat = self.latency_ns
-        if callable(lat):
-            return np.fromiter(
-                (float(lat(i)) for i in range(items)),
-                dtype=np.float64,
-                count=items,
-            )
-        return np.full(items, float(lat), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -105,9 +79,6 @@ class SimResult:
     def first_item_latency_ns(self) -> float:
         return float(self.leave_ns[-1, 0] - self.enter_ns[0, 0])
 
-    def item_latency_ns(self, i: int) -> float:
-        return float(self.leave_ns[-1, i] - self.enter_ns[0, i])
-
     @property
     def steady_state_ii_ns(self) -> float:
         """Mean completion spacing over the second half of the run."""
@@ -117,9 +88,23 @@ class SimResult:
         half = self.item_count // 2
         return float((done[-1] - done[half - 1]) / (self.item_count - half))
 
-    @property
-    def throughput_items_per_s(self) -> float:
-        return 1e9 / self.steady_state_ii_ns
+    def paced_stages(
+        self, ii_ns: Sequence[float], rel_tol: float
+    ) -> tuple[str, ...]:
+        """Stages that start every item their own II after the last.
+
+        Checked over the second half of the run, once the pipeline is
+        full, with ``ii_ns`` listing each stage's II and a start gap
+        matching it within ``rel_tol``.  These stages pace the pipeline:
+        the bottleneck and any stage that shares its II.
+        """
+        start = max(self.item_count // 2 - 1, 0)
+        gaps = np.diff(self.enter_ns[:, start:], axis=1)
+        return tuple(
+            name
+            for name, ii, gap in zip(self.stage_names, ii_ns, gaps)
+            if np.allclose(gap, ii, rtol=rel_tol, atol=0.0)
+        )
 
     def stage_busy_fraction(self, s: int) -> float:
         """Fraction of the makespan stage ``s`` spent processing items."""
@@ -153,92 +138,10 @@ class PipelineSimulator:
         )
 
     def run(self, items: int, arrival_ii_ns: float = 0.0) -> SimResult:
-        """Push ``items`` through the pipeline.
+        """Push ``items`` through the pipeline, item by item.
 
         ``arrival_ii_ns`` spaces item arrivals at the first stage (0 =
         items are always available, the saturation case).
-
-        Stage-major vectorised evaluation: with ``offs[s]`` chosen so
-        the item-to-item increment of constraint (b) telescopes
-        (``i * ii`` for pipelined stages, the exclusive latency prefix
-        sum for serial ones), a stage's whole entry timeline is::
-
-            enter[s] = cummax(ready - offs[s]) + offs[s]
-
-        Constraint (c) couples stage ``s`` to the *later-computed*
-        stage ``s + 1``, so the sweep over stages is iterated until a
-        fixed point.  Starting from zeros every sweep is monotone
-        non-decreasing and bounded by the true timeline, and at least
-        one further item becomes final per sweep, so the iteration
-        reaches the exact least fixed point in at most ``items + 1``
-        sweeps — in practice two or three, since backpressure
-        information only has to hop backwards across stages once.
-        """
-        if items <= 0:
-            raise ValueError(f"items must be positive, got {items}")
-        n_stages = len(self.stages)
-        idx = np.arange(items, dtype=np.float64)
-        arrival = idx * arrival_ii_ns
-        latencies = [s.latency_timeline(items) for s in self.stages]
-        offsets = []
-        for s, stage in enumerate(self.stages):
-            if stage.serial:
-                # leave[s, i-1] = enter[s, i-1] + lat[i-1]: the step
-                # increment is lat[i-1], i.e. the exclusive prefix sum.
-                offs = np.zeros(items, dtype=np.float64)
-                np.cumsum(latencies[s][:-1], out=offs[1:])
-            else:
-                offs = idx * stage.ii_ns
-            offsets.append(offs)
-
-        enter = np.zeros((n_stages, items), dtype=np.float64)
-        leave = np.zeros((n_stages, items), dtype=np.float64)
-        backpressured = any(
-            s + 1 < n_stages and items > stage.fifo_depth
-            for s, stage in enumerate(self.stages)
-        )
-        for _ in range(items + 2):
-            changed = False
-            for s, stage in enumerate(self.stages):
-                # (a) upstream completion (this sweep's values).
-                ready = arrival if s == 0 else leave[s - 1]
-                depth = stage.fifo_depth
-                if s + 1 < n_stages and items > depth:
-                    # (c) downstream FIFO space (previous sweep's
-                    # values — closed by the fixed-point iteration).
-                    ready = ready.copy()
-                    np.maximum(
-                        ready[depth:],
-                        enter[s + 1, : items - depth],
-                        out=ready[depth:],
-                    )
-                # (b) telescoped through the offset shift.
-                offs = offsets[s]
-                new_enter = np.maximum.accumulate(ready - offs)
-                new_enter += offs
-                if not changed and not np.array_equal(new_enter, enter[s]):
-                    changed = True
-                enter[s] = new_enter
-                np.add(new_enter, latencies[s], out=leave[s])
-            if not changed or not backpressured:
-                break
-        else:  # pragma: no cover - fixed point is guaranteed above
-            return self._run_scalar(items, arrival_ii_ns)
-        return SimResult(
-            item_count=items,
-            enter_ns=enter,
-            leave_ns=leave,
-            stage_names=tuple(s.name for s in self.stages),
-        )
-
-    def _run_scalar(
-        self, items: int, arrival_ii_ns: float = 0.0
-    ) -> SimResult:
-        """The original item-major reference loop.
-
-        Kept as the ground truth the vectorised :meth:`run` is
-        parity-tested against (and its fallback should the fixed-point
-        sweep ever fail to converge).
         """
         if items <= 0:
             raise ValueError(f"items must be positive, got {items}")
@@ -262,7 +165,8 @@ class PipelineSimulator:
                 if s + 1 < n_stages and i >= stage.fifo_depth:
                     ready = max(ready, enter[s + 1, i - stage.fifo_depth])
                 enter[s, i] = ready
-                leave[s, i] = ready + stage.latency_at(i)
+                lat = stage.latency_ns
+                leave[s, i] = ready + (lat(i) if callable(lat) else lat)
         return SimResult(
             item_count=items,
             enter_ns=enter,
@@ -281,7 +185,9 @@ def validate_against_analytical(
 
     Returns the relative errors; raises ``AssertionError`` when the
     analytical shortcut diverges from the simulated pipeline by more than
-    ``rel_tol`` (callers in the test suite treat this as a model bug).
+    ``rel_tol`` (callers in the test suite treat this as a model bug), or
+    when the analytic bottleneck is not among the stages that, once the
+    pipeline is full, start every item their own II after the last.
     """
     sim = PipelineSimulator.from_model(model, fifo_depth=fifo_depth).run(items)
     lat_err = abs(
@@ -298,39 +204,10 @@ def validate_against_analytical(
                 f"analytical {key} diverges from simulation by {err:.1%} "
                 f"(> {rel_tol:.1%})"
             )
+    pacers = sim.paced_stages([s.ii_ns for s in model.stages], rel_tol)
+    if model.bottleneck.name not in pacers:
+        raise AssertionError(
+            f"analytical bottleneck {model.bottleneck.name!r} does not pace "
+            f"the simulated pipeline (pacers: {', '.join(pacers) or 'none'})"
+        )
     return errors
-
-
-def simulate_with_lookup_jitter(
-    model: PipelineModel,
-    lookup_latency_ns: Callable[[int], float],
-    items: int = 256,
-    fifo_depth: int = 8,
-    arrival_ii_ns: float = 0.0,
-) -> SimResult:
-    """Re-run a pipeline whose first (lookup) stage has per-item latency.
-
-    Used with the queuing DRAM simulator: the lookup stage's latency
-    becomes a per-item sample instead of the analytical worst case, and
-    deeper FIFOs absorb the jitter exactly as the BRAM FIFOs do on the
-    FPGA.
-    """
-    stages = [
-        SimStage(
-            name=model.stages[0].name,
-            latency_ns=lookup_latency_ns,
-            ii_ns=model.stages[0].ii_ns,
-            fifo_depth=fifo_depth,
-            serial=True,
-        )
-    ]
-    stages.extend(
-        SimStage(
-            name=s.name,
-            latency_ns=float(s.latency_ns),
-            ii_ns=s.ii_ns,
-            fifo_depth=fifo_depth,
-        )
-        for s in model.stages[1:]
-    )
-    return PipelineSimulator(stages).run(items, arrival_ii_ns=arrival_ii_ns)

@@ -1,23 +1,31 @@
-"""Every numeric argument of every ``repro`` verb, generated from the parser.
+"""Every numeric and name argument of every ``repro`` verb, generated from
+the parser.
 
 Each float gets ``nan``, ``inf``, ``-inf``, ``-1`` and ``0``; each int
 gets ``-1`` and ``0``.  A value must either run the verb to strict JSON
 (no ``NaN`` or ``Infinity``) or exit 2 with nothing on stdout and a
-message naming the flag or its dest, never a traceback.  Flags added
-later are covered without editing this file; only a new verb needs base
-arguments in :data:`BASE`.
+message naming the flag or its dest, never a traceback.  Each argument
+that accepts only known names (a model, an arrival process, a trace, a
+scaler or cache policy, an exporter) gets an unknown name, and must exit
+2 with one error line that names the flag and lists the known names
+comma-joined.  Flags added later are covered without editing this file;
+only a new verb needs base arguments in :data:`BASE`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from typing import Callable, Iterable
 
 import pytest
 
 from repro.cli import build_parser, main
 
 VALUES = {"float": ("nan", "inf", "-inf", "-1", "0"), "int": ("-1", "0")}
+
+#: The name every name argument is given: no registry or table holds it.
+UNKNOWN = "no-such-name"
 
 #: The ``repro bench`` sweep of the cases, and of the baseline they
 #: ``--compare`` against (so every delta is 0 and the gate stays open).
@@ -87,7 +95,21 @@ def _kind(action: argparse.Action) -> str | None:
     return type(value).__name__ if type(value) in (int, float) else None
 
 
-def _cases() -> list:
+def _takes_names(action: argparse.Action) -> bool:
+    """Whether the argument accepts only known names."""
+    if action.type is None:
+        return False
+    try:
+        action.type(UNKNOWN)
+    except argparse.ArgumentTypeError as exc:
+        return str(exc).startswith("unknown ")
+    except (TypeError, ValueError):
+        pass
+    return False
+
+
+def _cases(values_of: Callable[[argparse.Action], Iterable[str]]) -> list:
+    """One case per verb, argument and value in ``values_of(action)``."""
     parser = build_parser()
     (verbs,) = [
         a for a in parser._actions
@@ -96,9 +118,8 @@ def _cases() -> list:
     cases = []
     for verb, verb_parser in verbs.choices.items():
         for action in verb_parser._actions:
-            kind = _kind(action)
             flag = action.option_strings[0] if action.option_strings else None
-            for value in VALUES.get(kind, ()):
+            for value in values_of(action):
                 cases.append(
                     pytest.param(
                         verb, flag, action.dest, value,
@@ -109,14 +130,21 @@ def _cases() -> list:
     return cases
 
 
+def _numeric_cases() -> list:
+    return _cases(lambda action: VALUES.get(_kind(action), ()))
+
+
+def _name_cases() -> list:
+    return _cases(lambda action: (UNKNOWN,) if _takes_names(action) else ())
+
+
 def _reject(constant: str):
     raise ValueError(f"non-JSON constant {constant} on stdout")
 
 
-@pytest.mark.parametrize(("verb", "flag", "dest", "value"), _cases())
-def test_numeric_argument_fails_only_at_the_boundary(
-    capsys, tmp_path, bench_baseline, verb, flag, dest, value
-):
+def _run(capsys, tmp_path, bench_baseline, verb, flag, dest, value):
+    """``repro <verb> --json`` on its base arguments with one argument
+    set to ``value``: (exit code, stdout, stderr)."""
     assert verb in BASE, f"add small base arguments for `repro {verb}`"
     positionals, options = BASE[verb]
     positionals = dict(positionals)
@@ -134,15 +162,58 @@ def test_numeric_argument_fails_only_at_the_boundary(
         argv += ["--", *positionals.values()]
     code = main(argv)
     out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(("verb", "flag", "dest", "value"), _numeric_cases())
+def test_numeric_argument_fails_only_at_the_boundary(
+    capsys, tmp_path, bench_baseline, verb, flag, dest, value
+):
+    code, out, err = _run(
+        capsys, tmp_path, bench_baseline, verb, flag, dest, value
+    )
     if code == 0:
         json.loads(out, parse_constant=_reject)
         return
-    assert code == 2, f"repro {' '.join(argv)} exited {code}: {err}"
+    assert code == 2, f"repro {verb} {flag or dest}={value} exited {code}: {err}"
     assert out == ""
     assert "Traceback" not in err
     assert (flag is not None and flag in err) or dest in err, err
 
 
 def test_the_walk_sees_every_verb_with_numbers():
-    verbs = {case.values[0] for case in _cases()}
+    verbs = {case.values[0] for case in _numeric_cases()}
     assert verbs == set(BASE)
+
+
+@pytest.mark.parametrize(("verb", "flag", "dest", "value"), _name_cases())
+def test_unknown_name_lists_the_known_ones(
+    capsys, tmp_path, bench_baseline, verb, flag, dest, value
+):
+    code, out, err = _run(
+        capsys, tmp_path, bench_baseline, verb, flag, dest, value
+    )
+    assert code == 2, f"repro {verb} {flag or dest}={value} exited {code}: {err}"
+    assert out == ""
+    assert "Traceback" not in err
+    line = err.splitlines()[-1]
+    assert f"argument {flag or dest}: unknown " in line, line
+    listing = line.partition(f"{value!r}; available: ")[2]
+    # Comma-joined names, not a Python list repr.
+    assert listing and "[" not in listing and "'" not in listing, line
+    assert all(listing.split(", ")), line
+
+
+def test_the_walk_sees_every_name_argument():
+    arguments = {
+        (verb, flag or dest)
+        for verb, flag, dest, _ in (case.values for case in _name_cases())
+    }
+    assert {
+        ("plan", "model"),
+        ("serve", "--process"),
+        ("autoscale", "--trace"),
+        ("autoscale", "--policy"),
+        ("tiers", "--policy"),
+        ("stats", "--exporter"),
+    } <= arguments

@@ -7,7 +7,6 @@ from repro.experiments.common import accelerator
 from repro.fpga.eventsim import (
     PipelineSimulator,
     SimStage,
-    simulate_with_lookup_jitter,
     validate_against_analytical,
 )
 from repro.fpga.pipeline import PipelineModel, PipelineStage
@@ -108,13 +107,29 @@ class TestCrossValidation:
         errors = validate_against_analytical(model, items=512)
         assert max(errors.values()) < 0.02
 
-    @pytest.mark.parametrize("name", ["small", "large"])
-    @pytest.mark.parametrize("precision", ["fixed16", "fixed32"])
+    @pytest.mark.parametrize("name", ["small", "large", "dlrm-rmc2"])
+    @pytest.mark.parametrize("precision", ["fixed16", "fixed32", "fp32"])
     def test_production_accelerator_pipelines(self, name, precision):
-        """Every Table 2 configuration's closed form is simulator-exact."""
-        pipe = accelerator(name, precision).pipeline()
-        errors = validate_against_analytical(pipe, items=256)
-        assert max(errors.values()) < 0.02
+        """Every production build's closed form is simulator-exact: the
+        simulated II, first-item latency and pacing stages agree with
+        the ``FpgaPerformance`` that every FPGA number is read from."""
+        # Only the order of float summation differs between the two.
+        rel_tol = 1e-9
+        acc = accelerator(name, precision)
+        perf = acc.performance()
+        validate_against_analytical(acc.pipeline(), items=256, rel_tol=rel_tol)
+        sim = PipelineSimulator.from_model(acc.pipeline()).run(256)
+        assert sim.steady_state_ii_ns == pytest.approx(perf.ii_ns, rel=rel_tol)
+        assert sim.first_item_latency_ns == pytest.approx(
+            perf.single_item_latency_us * 1e3, rel=rel_tol
+        )
+        pacers = sim.paced_stages([ii for _, _, ii in perf.stages], rel_tol)
+        assert perf.bottleneck_stage in pacers
+        # Stages sharing the top II pace too (small's fc1 and fc2 GEMMs);
+        # no other stage does.
+        assert set(pacers) == {
+            stage for stage, _, ii in perf.stages if ii == perf.ii_ns
+        }
 
     def test_divergence_detected(self):
         """A pipeline the closed form cannot describe (depth-1 FIFO with a
@@ -132,6 +147,18 @@ class TestCrossValidation:
             validate_against_analytical(model, items=64, fifo_depth=1)
 
 
+def with_lookup_latency(pipe, latency, fifo_depth=8):
+    """``pipe`` with a serial first (lookup) stage of per-item
+    ``latency(i)``, every FIFO ``fifo_depth`` deep."""
+    lookup, *rest = pipe.stages
+    return PipelineSimulator(
+        [
+            SimStage(lookup.name, latency, lookup.ii_ns, fifo_depth, serial=True),
+            *(SimStage(s.name, s.latency_ns, s.ii_ns, fifo_depth) for s in rest),
+        ]
+    )
+
+
 class TestLookupJitter:
     def test_jitter_absorbed_by_fifos(self):
         """Variable lookup latency below the GEMM bottleneck must not
@@ -141,15 +168,12 @@ class TestLookupJitter:
         rng = np.random.default_rng(0)
         base = pipe.stages[0].latency_ns
         jitter = rng.uniform(0.5 * base, 1.5 * base, size=512)
-        result = simulate_with_lookup_jitter(
-            pipe, lambda i: float(jitter[i]), items=512, fifo_depth=8
-        )
+        sim = with_lookup_latency(pipe, lambda i: float(jitter[i]))
+        result = sim.run(512)
         assert result.steady_state_ii_ns == pytest.approx(pipe.ii_ns, rel=0.02)
 
     def test_slow_lookups_dominate(self):
         pipe = accelerator("small", "fixed16").pipeline()
         slow = pipe.ii_ns * 3.0
-        result = simulate_with_lookup_jitter(
-            pipe, lambda i: slow, items=256, fifo_depth=8
-        )
+        result = with_lookup_latency(pipe, const(slow)).run(256)
         assert result.steady_state_ii_ns == pytest.approx(slow, rel=0.02)

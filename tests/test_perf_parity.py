@@ -4,8 +4,6 @@ Each hot path rewritten for raw speed keeps (or re-states here) its
 original scalar implementation, and these tests pin the fast paths to it
 under fixed seeds:
 
-* the pipeline event simulator's stage-major fixed-point sweeps vs the
-  item-major reference loop (:meth:`PipelineSimulator._run_scalar`);
 * the batched server's batch-major loop vs the per-batch NumPy-scalar
   reference (:meth:`BatchedServerSim._run_scalar`);
 * the routing policies' incremental scan loops vs the original
@@ -19,9 +17,8 @@ under fixed seeds:
 * the ``lru`` cache policy's one-pass ``OrderedDict`` replay vs a
   textbook LRU stack (a list, most recent key last).
 
-Every comparison is exact (``np.array_equal`` on float64 timelines, not
-tolerances): latencies in the fixtures are integer-valued nanoseconds, so
-the vectorised offset arithmetic is IEEE-exact and any drift is a bug.
+Every comparison is exact (``np.array_equal`` or equality, not
+tolerances): any drift is a bug.
 """
 
 import json
@@ -37,61 +34,9 @@ from repro.cluster.routing import (
     RoundRobinPolicy,
     SlaAwarePolicy,
 )
-from repro.fpga.eventsim import PipelineSimulator, SimStage
 from repro.memory import get_cache_policy
 from repro.serving.arrivals import diurnal_trace, trace_arrivals
 from repro.serving.queueing import BatchedServerSim
-
-
-# ---------------------------------------------------------------------------
-# Pipeline event simulator
-# ---------------------------------------------------------------------------
-
-
-def _jitter(i: int) -> float:
-    # Integer-valued per-item latency: exact in float64, so the
-    # vectorised and scalar paths must agree bit for bit.
-    return float((i * 37) % 19 + 3)
-
-
-PIPELINES = {
-    "serial-only": [
-        SimStage("lookup", latency_ns=40.0, ii_ns=40.0, serial=True),
-    ],
-    "pipelined": [
-        SimStage("a", latency_ns=100.0, ii_ns=10.0),
-        SimStage("b", latency_ns=80.0, ii_ns=25.0),
-        SimStage("c", latency_ns=60.0, ii_ns=5.0),
-    ],
-    "serial-bottleneck": [
-        SimStage("lookup", latency_ns=50.0, ii_ns=50.0, serial=True),
-        SimStage("gemm", latency_ns=200.0, ii_ns=8.0),
-        SimStage("sigmoid", latency_ns=30.0, ii_ns=8.0),
-    ],
-    "depth1-backpressure": [
-        SimStage("fast", latency_ns=10.0, ii_ns=5.0, fifo_depth=1),
-        SimStage("slow", latency_ns=90.0, ii_ns=60.0, fifo_depth=1),
-        SimStage("sink", latency_ns=20.0, ii_ns=20.0, fifo_depth=1),
-    ],
-    "jittered-serial": [
-        SimStage("lookup", latency_ns=_jitter, ii_ns=12.0, serial=True,
-                 fifo_depth=4),
-        SimStage("mlp", latency_ns=120.0, ii_ns=15.0, fifo_depth=4),
-    ],
-}
-
-
-class TestEventsimParity:
-    @pytest.mark.parametrize("name", sorted(PIPELINES))
-    @pytest.mark.parametrize("items", [1, 2, 3, 7, 50, 200])
-    @pytest.mark.parametrize("arrival_ii", [0.0, 35.0])
-    def test_exact_timeline_parity(self, name, items, arrival_ii):
-        sim = PipelineSimulator(PIPELINES[name])
-        fast = sim.run(items, arrival_ii_ns=arrival_ii)
-        slow = sim._run_scalar(items, arrival_ii_ns=arrival_ii)
-        assert np.array_equal(fast.enter_ns, slow.enter_ns)
-        assert np.array_equal(fast.leave_ns, slow.leave_ns)
-        assert fast.stage_names == slow.stage_names
 
 
 # ---------------------------------------------------------------------------
