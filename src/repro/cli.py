@@ -133,10 +133,12 @@ def _replicas(texts: Sequence[str], model: str) -> list:
             raise ValueError(
                 f"bad --tier {text!r}; COUNT must be an integer"
             ) from None
+        try:
+            tier_model = _model(tier_model or model)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"bad --tier {text!r}; {exc}") from None
         specs.append(
-            ReplicaSpec(
-                model=_model(tier_model or model), backend=backend, count=count
-            )
+            ReplicaSpec(model=tier_model, backend=backend, count=count)
         )
     return specs
 
@@ -1454,11 +1456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise  # --help and --version exit 0
     try:
         return args.func(args)
-    except (
-        argparse.ArgumentTypeError,  # a --tier naming an unknown model
-        ValueError,
-        UnknownNameError,
-    ) as exc:
+    except (ValueError, UnknownNameError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from repro.models.workload import QueryBatch
 from repro.runtime.perf import PerfEstimate
 from repro.runtime.session import ServingSurface, Session
 from repro.serving.arrivals import check_positive
-from repro.serving.queueing import ServingResult
+from repro.serving.queueing import ServingResult, sorted_arrivals
 from repro.serving.sla import DEFAULT_SLA_MS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -394,7 +394,7 @@ class Cluster(ServingSurface):
                 f"knobs, got {sorted(server_knobs)}; configure the "
                 "replica sessions at deploy time instead"
             )
-        arrivals = np.sort(arrivals_ns)
+        arrivals = sorted_arrivals(arrivals_ns)
         indices = self._eligible(model)
         views = self._views(indices)
         local = np.asarray(

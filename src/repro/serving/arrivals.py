@@ -37,11 +37,22 @@ RateFn = Callable[[float], float]
 #: constructor cannot supply them in closed form.
 _SAMPLES_PER_SEGMENT = 512
 
+#: Candidates :func:`trace_arrivals` thins per pass: large enough to
+#: amortise each pass's calls, small enough that a pass's scratch arrays
+#: stay in cache.
+_THIN_CHUNK = 1 << 16
+
 
 def check_positive(name: str, value: float) -> None:
     """Reject ``value`` unless it is a positive, finite number."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_rate(name: str, value: float) -> None:
+    """Reject ``value`` unless it is a finite rate ``>= 0``."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def poisson_arrivals(
@@ -62,14 +73,19 @@ def poisson_arrivals(
     expected = rate_per_s * duration_s
     # Draw slightly more gaps than needed per round, then truncate.
     n = int(expected + 6 * np.sqrt(expected) + 16)
-    chunks: list[np.ndarray] = []
+    rounds: list[np.ndarray] = []
     reached = 0.0
     while reached < horizon_ns:
-        times = np.cumsum(rng.exponential(1e9 / rate_per_s, size=n)) + reached
-        chunks.append(times)
+        times = rng.exponential(1e9 / rate_per_s, size=n)
+        np.cumsum(times, out=times)
+        if rounds:
+            times += reached
+        rounds.append(times)
         reached = float(times[-1])
-    times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return times[times < horizon_ns]
+    times = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+    # Cumulative sums of non-negative gaps never decrease, so the
+    # arrivals inside the horizon are a prefix.
+    return times[: np.searchsorted(times, horizon_ns)]
 
 
 def uniform_arrivals(rate_per_s: float, duration_s: float) -> np.ndarray:
@@ -107,10 +123,13 @@ class RateSegment:
     """One piece of a :class:`RateTrace`.
 
     ``rate_fn(t)`` gives queries/s at local time ``t`` seconds into the
-    segment, for ``t`` in ``[0, duration_s)``.  ``peak_rate`` is the
-    thinning envelope: an upper bound on ``rate_fn`` over the segment.
-    Use :func:`segment` to build one — it samples peak and mean on a
-    fixed grid when the caller has no closed form.
+    segment, for ``t`` in ``[0, duration_s)``.  It must be pointwise —
+    each output depends only on its own input time — because
+    :func:`trace_arrivals` evaluates it over the candidates in chunks.
+    ``peak_rate`` is the thinning envelope: an upper bound on
+    ``rate_fn`` over the segment.  Both rates must be finite and
+    ``>= 0``.  Use :func:`segment` to build one — it samples peak and
+    mean on a fixed grid when the caller has no closed form.
     """
 
     duration_s: float
@@ -120,8 +139,8 @@ class RateSegment:
 
     def __post_init__(self) -> None:
         check_positive("duration_s", self.duration_s)
-        if self.peak_rate < 0 or self.mean_rate < 0:
-            raise ValueError("segment rates must be non-negative")
+        _check_rate("peak_rate", self.peak_rate)
+        _check_rate("mean_rate", self.mean_rate)
         if self.mean_rate > self.peak_rate * (1 + 1e-9):
             raise ValueError(
                 f"segment mean rate {self.mean_rate} exceeds its peak "
@@ -140,15 +159,18 @@ def segment(
     Sampling uses a fixed :data:`_SAMPLES_PER_SEGMENT`-point grid, so the
     envelope is exact for the constructors in this module (which pass
     closed-form peaks anyway) and approximate for arbitrary user
-    functions; :func:`trace_arrivals` clips acceptance probabilities at 1,
-    so an undershooting sampled envelope mildly flattens local maxima
-    rather than corrupting the stream.
+    functions; :func:`trace_arrivals` keeps every candidate whose
+    acceptance ratio exceeds 1, so an undershooting sampled envelope
+    mildly flattens local maxima rather than corrupting the stream.
+    Grid samples must be finite and non-negative.
     """
     check_positive("duration_s", duration_s)
     sampled_mean = mean_rate is None
     if peak_rate is None or mean_rate is None:
         grid = np.linspace(0.0, duration_s, _SAMPLES_PER_SEGMENT, endpoint=False)
         rates = _eval_rate(rate_fn, grid)
+        if not np.isfinite(rates).all():
+            raise ValueError("rate_fn must be finite over the segment")
         if (rates < 0).any():
             raise ValueError("rate_fn must be non-negative over the segment")
         if peak_rate is None:
@@ -188,9 +210,8 @@ class RateTrace:
 
     @classmethod
     def constant(cls, rate_per_s: float, duration_s: float) -> "RateTrace":
-        """A steady trace: one segment at a fixed rate."""
-        if rate_per_s < 0:
-            raise ValueError(f"rate_per_s must be >= 0, got {rate_per_s}")
+        """A steady trace: one segment at a fixed rate (0 allowed)."""
+        _check_rate("rate_per_s", rate_per_s)
         return cls(
             (
                 RateSegment(
@@ -221,17 +242,14 @@ class RateTrace:
     def scaled(self, factor: float) -> "RateTrace":
         """The same load *shape* with every rate multiplied by ``factor``.
 
-        ``factor`` must be strictly positive: a zero factor would zero
-        every segment's rate, and the resulting trace silently realises
-        an *empty* arrival stream downstream (which every serving
-        consumer rejects much later, with a far less helpful error).
+        ``factor`` must be strictly positive and finite: a zero factor
+        would zero every segment's rate, and the resulting trace
+        silently realises an *empty* arrival stream downstream (which
+        every serving consumer rejects much later, with a far less
+        helpful error); a NaN or infinite one would do the same through
+        a non-finite envelope.
         """
-        if factor <= 0:
-            raise ValueError(
-                f"scale factor must be positive, got {factor} (a "
-                "non-positive factor would silently produce an empty "
-                "arrival stream)"
-            )
+        check_positive("factor", factor)
         return RateTrace(
             tuple(
                 RateSegment(
@@ -456,23 +474,54 @@ def trace_arrivals(rng: np.random.Generator, trace: RateTrace) -> np.ndarray:
     with probability ``rate_fn(t) / peak_rate`` (Lewis & Shedler).  The
     result is a non-homogeneous Poisson process with exactly the trace's
     intensity, covering the full horizon.
+
+    Draw order, segment by segment: all of a segment's exponential gaps
+    first (:func:`poisson_arrivals`), then one uniform per candidate in
+    candidate order.  The uniforms are drawn a chunk at a time, which
+    yields the same doubles as one call per segment, so a seed always
+    realises the same stream.  A zero-rate segment draws nothing.
     """
-    chunks: list[np.ndarray] = []
+    pieces: list[np.ndarray] = []
     offset_ns = 0.0
     for seg in trace.segments:
         if seg.peak_rate > 0:
             candidates = poisson_arrivals(rng, seg.peak_rate, seg.duration_s)
             if candidates.size:
-                local_s = candidates / 1e9
-                accept_p = np.clip(
-                    _eval_rate(seg.rate_fn, local_s) / seg.peak_rate, 0.0, 1.0
-                )
-                keep = rng.random(candidates.size) < accept_p
-                chunks.append(candidates[keep] + offset_ns)
+                kept = candidates[_accepted(rng, seg, candidates)]
+                if offset_ns:
+                    kept += offset_ns
+                pieces.append(kept)
         offset_ns += seg.duration_s * 1e9
-    if not chunks:
+    if not pieces:
         return np.empty(0, dtype=np.float64)
-    return np.concatenate(chunks)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _accepted(
+    rng: np.random.Generator, seg: RateSegment, candidates: np.ndarray
+) -> np.ndarray:
+    """Thinning's keep mask over one segment's candidates (ns).
+
+    Candidate ``i`` is kept when its uniform draw falls below
+    ``rate_fn(t_i) / peak_rate``.  No clip to ``[0, 1]``: for a uniform
+    in ``[0, 1)`` the comparison already reads a ratio above 1 as
+    "keep" and one below 0, or NaN, as "drop".  The work runs over
+    :data:`_THIN_CHUNK`-candidate slices through reused buffers, one
+    ``rng.random`` call per slice; consecutive calls yield the same
+    doubles as one call over the whole segment.
+    """
+    n = candidates.size
+    keep = np.empty(n, dtype=bool)
+    local_s = np.empty(min(n, _THIN_CHUNK))
+    ratio = np.empty_like(local_s)
+    for start in range(0, n, _THIN_CHUNK):
+        stop = min(start + _THIN_CHUNK, n)
+        t = local_s[: stop - start]
+        np.divide(candidates[start:stop], 1e9, out=t)
+        r = ratio[: t.size]
+        np.divide(_eval_rate(seg.rate_fn, t), seg.peak_rate, out=r)
+        np.less(rng.random(t.size), r, out=keep[start:stop])
+    return keep
 
 
 def trace_for(

@@ -26,6 +26,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.digest import QuantileDigest
 
 
+def sorted_arrivals(arrivals_ns: np.ndarray) -> np.ndarray:
+    """A sorted float64 copy of an arrival stream, bit-identical to
+    ``np.sort``.
+
+    Generated streams arrive sorted, so a non-decreasing stream is
+    copied instead of sorted.  The shortcut also needs a first element
+    above 0: ``np.sort`` may reorder ``-0.0``/``0.0`` ties, and only
+    sorting such a stream reproduces its bits.  A NaN fails both
+    checks, so it is sorted too.  The copy keeps a result from aliasing
+    the caller's array.
+    """
+    arrivals = np.asarray(arrivals_ns, dtype=np.float64)
+    if (
+        arrivals.size
+        and arrivals[0] > 0
+        and (arrivals[1:] >= arrivals[:-1]).all()
+    ):
+        return arrivals.copy()
+    return np.sort(arrivals)
+
+
 @dataclass(frozen=True)
 class ServingResult:
     """Latency distribution of one serving simulation.
@@ -207,7 +228,7 @@ class BatchedServerSim:
         callable (a pure function of the batch size) is evaluated a
         handful of times instead of once per batch.
         """
-        arrivals = np.sort(np.asarray(arrivals_ns, dtype=np.float64))
+        arrivals = sorted_arrivals(arrivals_ns)
         n = arrivals.size
         batch_size = self.batch_size
         timeout_ns = self.batch_timeout_ns
@@ -301,13 +322,15 @@ class PipelineServerSim:
         self.ii_ns = ii_ns
 
     def run(self, arrivals_ns: np.ndarray) -> ServingResult:
-        arrivals = np.sort(np.asarray(arrivals_ns, dtype=np.float64))
+        arrivals = sorted_arrivals(arrivals_ns)
         # The recurrence start[i] = max(arrival[i], start[i-1] + II)
         # unrolls to start[i] = max_{j<=i}(arrival[j] + (i-j) * II), which
         # is a running maximum of (arrival[j] - j * II) shifted back — one
         # vectorised pass instead of a Python loop per query.
-        idx = np.arange(arrivals.size, dtype=np.float64)
-        shifted = arrivals - idx * self.ii_ns
-        starts = np.maximum.accumulate(shifted) + idx * self.ii_ns
-        completions = starts + self.latency_ns
+        ramp = np.arange(arrivals.size, dtype=np.float64)
+        ramp *= self.ii_ns
+        completions = np.subtract(arrivals, ramp)
+        np.maximum.accumulate(completions, out=completions)
+        completions += ramp
+        completions += self.latency_ns
         return ServingResult(arrivals_ns=arrivals, completions_ns=completions)

@@ -34,6 +34,7 @@ to own the rank convention instead of four reimplementations.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,6 +75,10 @@ _LOG_MIN = float(np.log(MIN_TRACKED))
 _INV_LOG_STEP = NUM_BINS / float(
     np.log(MAX_TRACKED) - np.log(MIN_TRACKED)
 )
+
+#: Values :func:`_bin_index` maps per pass: its scratch buffer stays in
+#: cache across the pass's five operations.
+_BIN_CHUNK = 1 << 16
 
 
 def exact_quantile(
@@ -137,10 +142,19 @@ class QuantileDigest:
             arr = arr.ravel()
         if arr.size == 0:
             return
-        if not np.isfinite(arr).all():
-            raise ValueError("digest values must be finite")
+        # A finite sum implies finite values, so only a non-finite sum
+        # needs the element check.  The guarded sum keeps a non-finite
+        # batch from warning before it is rejected; finite values whose
+        # sum overflows are summed again unguarded, so NumPy's overflow
+        # warning still reaches the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(arr.sum())
+        if not math.isfinite(total):
+            if not np.isfinite(arr).all():
+                raise ValueError("digest values must be finite")
+            total = float(arr.sum())
         self._count += int(arr.size)
-        self._sum += float(arr.sum())
+        self._sum += total
         self._min = min(self._min, float(arr.min()))
         self._max = max(self._max, float(arr.max()))
         if self._exact is not None:
@@ -350,22 +364,32 @@ class QuantileDigest:
 
 
 def _bin_index(values: np.ndarray) -> np.ndarray:
-    """Map values onto bin indices: 0 = underflow, last = overflow.
+    """Map finite values onto bin indices: 0 = underflow, last = overflow.
 
     Computed in the log domain (one vectorised log + multiply + floor)
     rather than by searching the edge grid; a value landing exactly on
     an edge may round to either neighbouring bin, which costs at most
     one bin width of quantile error — inside the stated bound either
-    way — and is deterministic, so merges stay order-invariant.
+    way — and is deterministic, so merges stay order-invariant.  Values
+    are first raised to ``MIN_TRACKED / 2``, whose log already lands in
+    the underflow bin, so zeros and negatives never reach the log.  The
+    passes run over :data:`_BIN_CHUNK`-value slices in one reused
+    buffer.
     """
-    positive = values > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(values, where=positive, out=np.zeros_like(values))
-    index = np.floor(
-        (logs - _LOG_MIN) * _INV_LOG_STEP
-    ).astype(np.int64) + 1
-    np.clip(index, 0, TOTAL_BINS - 1, out=index)
-    index[~positive] = 0
+    index = np.empty(values.size, dtype=np.int64)
+    logs = np.empty(min(values.size, _BIN_CHUNK))
+    for start in range(0, values.size, _BIN_CHUNK):
+        part = values[start : start + _BIN_CHUNK]
+        buf = logs[: part.size]
+        np.maximum(part, MIN_TRACKED / 2, out=buf)
+        np.log(buf, out=buf)
+        buf -= _LOG_MIN
+        buf *= _INV_LOG_STEP
+        np.floor(buf, out=buf)
+        out = index[start : start + part.size]
+        np.copyto(out, buf, casting="unsafe")
+        out += 1
+        np.clip(out, 0, TOTAL_BINS - 1, out=out)
     return index
 
 

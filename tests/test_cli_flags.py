@@ -217,3 +217,22 @@ def test_the_walk_sees_every_name_argument():
         ("tiers", "--policy"),
         ("stats", "--exporter"),
     } <= arguments
+
+
+@pytest.mark.parametrize("verb", ["cluster", "plan-shards", "stats"])
+def test_unknown_tier_model_names_the_flag(capsys, verb):
+    # A --tier's MODEL is checked after parsing, so the walk above
+    # never reaches it.
+    positionals, options = BASE[verb]
+    text = f"cpu:1:{UNKNOWN}"
+    code = main(
+        [verb, *options, f"--tier={text}", "--json", "--",
+         *positionals.values()]
+    )
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"bad --tier {text!r}; unknown model {UNKNOWN!r}; "
+        "available: small, large, dlrm-rmc2"
+    ]

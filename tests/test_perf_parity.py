@@ -15,17 +15,24 @@ under fixed seeds:
 * the autoscale replay's memoised window plans vs a fresh, cache-cold
   run of equal-valued inputs;
 * the ``lru`` cache policy's one-pass ``OrderedDict`` replay vs a
-  textbook LRU stack (a list, most recent key last).
+  textbook LRU stack (a list, most recent key last);
+* trace replay's chunked kernels vs the per-array versions they
+  replaced (copied below): Poisson draws, thinning, the pipelined
+  server's running maximum, the queue sims' and cluster's sorted-stream
+  step vs plain ``np.sort``, and the digest's bin map.  These compare
+  bit patterns, so ``-0.0`` and ``0.0`` differ.
 
 Every comparison is exact (``np.array_equal`` or equality, not
 tolerances): any drift is a bug.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.cluster import cluster as cluster_module
 from repro.cluster import routing
 from repro.cluster.routing import (
     CheapestFirstPolicy,
@@ -35,8 +42,34 @@ from repro.cluster.routing import (
     SlaAwarePolicy,
 )
 from repro.memory import get_cache_policy
-from repro.serving.arrivals import diurnal_trace, trace_arrivals
-from repro.serving.queueing import BatchedServerSim
+from repro.serving import arrivals, queueing
+from repro.serving.arrivals import (
+    RateTrace,
+    _eval_rate,
+    bursty_trace,
+    check_positive,
+    diurnal_trace,
+    flash_crowd_trace,
+    poisson_arrivals,
+    trace_arrivals,
+)
+from repro.serving.queueing import (
+    BatchedServerSim,
+    PipelineServerSim,
+    ServingResult,
+    sorted_arrivals,
+)
+from repro.telemetry import digest
+from repro.telemetry.digest import (
+    _INV_LOG_STEP,
+    _LOG_MIN,
+    EDGES,
+    MAX_TRACKED,
+    MIN_TRACKED,
+    TOTAL_BINS,
+    QuantileDigest,
+    _bin_index,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +533,394 @@ class TestAutoscaleMemoParity:
         for window in result.windows:
             assert window.p50_ms <= window.p95_ms <= window.p99_ms
             assert 0.0 <= window.sla_attainment <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Trace replay: arrival thinning, queue sims, digest bins
+# ---------------------------------------------------------------------------
+#
+# The per-array implementations the chunked kernels replaced, copied
+# verbatim, except that the reference thinning draws its candidates
+# through the reference Poisson generator.
+# Every comparison is bitwise (``uint64`` views), so ``-0.0`` and
+# ``0.0`` count as different values.
+
+
+def _reference_poisson_arrivals(rng, rate_per_s, duration_s):
+    check_positive("rate_per_s", rate_per_s)
+    check_positive("duration_s", duration_s)
+    horizon_ns = duration_s * 1e9
+    expected = rate_per_s * duration_s
+    # Draw slightly more gaps than needed per round, then truncate.
+    n = int(expected + 6 * np.sqrt(expected) + 16)
+    chunks: list[np.ndarray] = []
+    reached = 0.0
+    while reached < horizon_ns:
+        times = np.cumsum(rng.exponential(1e9 / rate_per_s, size=n)) + reached
+        chunks.append(times)
+        reached = float(times[-1])
+    times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return times[times < horizon_ns]
+
+
+def _reference_trace_arrivals(rng, trace):
+    chunks: list[np.ndarray] = []
+    offset_ns = 0.0
+    for seg in trace.segments:
+        if seg.peak_rate > 0:
+            candidates = _reference_poisson_arrivals(
+                rng, seg.peak_rate, seg.duration_s
+            )
+            if candidates.size:
+                local_s = candidates / 1e9
+                accept_p = np.clip(
+                    _eval_rate(seg.rate_fn, local_s) / seg.peak_rate, 0.0, 1.0
+                )
+                keep = rng.random(candidates.size) < accept_p
+                chunks.append(candidates[keep] + offset_ns)
+        offset_ns += seg.duration_s * 1e9
+    if not chunks:
+        return np.empty(0, dtype=np.float64)
+    return np.concatenate(chunks)
+
+
+def _reference_pipeline_run(sim, arrivals_ns):
+    arrivals = np.sort(np.asarray(arrivals_ns, dtype=np.float64))
+    # The recurrence start[i] = max(arrival[i], start[i-1] + II)
+    # unrolls to start[i] = max_{j<=i}(arrival[j] + (i-j) * II), which
+    # is a running maximum of (arrival[j] - j * II) shifted back — one
+    # vectorised pass instead of a Python loop per query.
+    idx = np.arange(arrivals.size, dtype=np.float64)
+    shifted = arrivals - idx * sim.ii_ns
+    starts = np.maximum.accumulate(shifted) + idx * sim.ii_ns
+    completions = starts + sim.latency_ns
+    return ServingResult(arrivals_ns=arrivals, completions_ns=completions)
+
+
+def _reference_bin_index(values):
+    positive = values > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(values, where=positive, out=np.zeros_like(values))
+    index = np.floor(
+        (logs - _LOG_MIN) * _INV_LOG_STEP
+    ).astype(np.int64) + 1
+    np.clip(index, 0, TOTAL_BINS - 1, out=index)
+    index[~positive] = 0
+    return index
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(
+            np.ascontiguousarray(a).view(np.uint64),
+            np.ascontiguousarray(b).view(np.uint64),
+        )
+    )
+
+
+def _traces(rate):
+    """The replay corpus at base rate ``rate`` over about a second."""
+    from repro.autoscale.simulator import _window_trace
+
+    # A window straddling a segment boundary: its envelope is sampled,
+    # so the acceptance ratio can exceed 1 (the parent clipped it).
+    parent = diurnal_trace(rate, 0.6, phase=0.4).then(
+        flash_crowd_trace(rate, 0.6)
+    )
+    window = _window_trace(parent, 0.3, 0.6)
+    return {
+        "constant": RateTrace.constant(rate, 1.0),
+        "diurnal": diurnal_trace(rate, 1.0),
+        "diurnal-phase": diurnal_trace(rate, 1.0, period_s=0.3, phase=1.1),
+        "bursty": bursty_trace(
+            np.random.default_rng(4), rate, 1.0,
+            mean_burst_s=0.05, mean_gap_s=0.1,
+        ),
+        "flash-at-0": flash_crowd_trace(rate, 1.0, spike_at_s=0.0),
+        "flash": flash_crowd_trace(rate, 1.0),
+        "concat": RateTrace.concat(
+            [
+                diurnal_trace(rate, 0.4),
+                RateTrace.constant(rate / 2, 0.2),
+                flash_crowd_trace(rate, 0.4),
+            ]
+        ),
+        "zero-rate-segment": RateTrace.constant(rate, 0.3)
+        .then(RateTrace.constant(0.0, 0.4))
+        .then(diurnal_trace(rate, 0.3)),
+        "autoscale-window": window,
+        "autoscale-scaled": window.scaled(1 / 3),
+    }
+
+
+class _ShortRoundRng:
+    """A generator whose first exponential round falls short of the
+    horizon, so :func:`poisson_arrivals` must draw a second round."""
+
+    def __init__(self, seed):
+        self._real = np.random.default_rng(seed)
+        self._rounds = 0
+
+    def exponential(self, scale, size):
+        self._rounds += 1
+        gaps = self._real.exponential(scale, size)
+        return gaps / 4 if self._rounds == 1 else gaps
+
+    def random(self, size):
+        return self._real.random(size)
+
+
+class TestArrivalParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "rate,duration_s",
+        [(3.0, 0.5), (5_000.0, 1.0), (70_000.0, 1.0), (1_000_000.0, 1.0)],
+    )
+    def test_poisson_arrivals(self, rate, duration_s, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = poisson_arrivals(rng, rate, duration_s)
+        assert _same_bits(out, _reference_poisson_arrivals(ref, rate, duration_s))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_poisson_second_draw_round(self):
+        out = poisson_arrivals(_ShortRoundRng(3), 2_000.0, 0.5)
+        ref = _reference_poisson_arrivals(_ShortRoundRng(3), 2_000.0, 0.5)
+        assert _same_bits(out, ref)
+        # The stub's first round covers about a quarter of the window.
+        assert out.size > 1_500 and out[-1] > 0.4e9
+
+    def test_trace_second_draw_round(self):
+        trace = _traces(2_000.0)["concat"]
+        out = trace_arrivals(_ShortRoundRng(5), trace)
+        assert _same_bits(out, _reference_trace_arrivals(_ShortRoundRng(5), trace))
+
+    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", sorted(_traces(1.0)))
+    def test_trace_arrivals(self, monkeypatch, name, seed, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(arrivals, "_THIN_CHUNK", chunk)
+        trace = _traces(5_000.0)[name]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = trace_arrivals(rng, trace)
+        assert out.size > 0
+        assert _same_bits(out, _reference_trace_arrivals(ref, trace))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_corpus_shapes(self):
+        traces = _traces(5_000.0)
+        assert len(traces["bursty"].segments) > 3
+        assert len(traces["flash"].segments) == 2
+        assert len(traces["flash-at-0"].segments) == 1
+        assert traces["zero-rate-segment"].segments[1].peak_rate == 0.0
+        window = traces["autoscale-window"]
+        grid = np.linspace(0.0, 0.6, 100_001, endpoint=False)
+        # The sampled envelope undershoots the rate: ratios above 1 occur.
+        assert window.rates_at(grid).max() > window.peak_rate
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_exactly_one_chunk(self, monkeypatch, delta):
+        trace = diurnal_trace(20_000.0, 0.5)
+        probe = np.random.default_rng(9)
+        candidates = _reference_poisson_arrivals(probe, trace.peak_rate, 0.5)
+        monkeypatch.setattr(arrivals, "_THIN_CHUNK", candidates.size + delta)
+        out = trace_arrivals(np.random.default_rng(9), trace)
+        ref = _reference_trace_arrivals(np.random.default_rng(9), trace)
+        assert _same_bits(out, ref)
+
+    @pytest.mark.parametrize("name", ["diurnal", "bursty"])
+    def test_a_million_arrivals(self, name):
+        trace = _traces(1_000_000.0)[name]
+        out = trace_arrivals(np.random.default_rng(11), trace)
+        ref = _reference_trace_arrivals(np.random.default_rng(11), trace)
+        assert out.size > 900_000
+        assert _same_bits(out, ref)
+
+
+def _streams():
+    """Arrival streams for the queue sims' sorted-stream step."""
+    rng = np.random.default_rng(12)
+    ordered = np.cumsum(rng.exponential(400.0, size=5_000))
+    return {
+        "sorted": ordered,
+        "unsorted": rng.permutation(ordered),
+        "duplicates": np.repeat(ordered[:1_500], 3),
+        "signed-zero-ties": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 5.0]),
+        # Non-decreasing, yet np.sort may reorder its zeros (it does
+        # for lengths around 16-100 with AVX-512).
+        "sorted-signed-zeros": np.concatenate(
+            (np.where(rng.random(24) < 0.5, -0.0, 0.0), ordered[:16])
+        ),
+        "leading-zero": np.concatenate(([0.0], ordered)),
+        "negative": ordered - ordered[2_500],
+        "descending": ordered[::-1].copy(),
+        "length-1": np.array([3.5]),
+        "probe": np.zeros(1),
+        "strided": ordered[::2],
+    }
+
+
+class TestQueueSimParity:
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    def test_sorted_arrivals_match_np_sort(self, name):
+        stream = _streams()[name]
+        before = stream.copy()
+        out = sorted_arrivals(stream)
+        assert _same_bits(out, np.sort(stream))
+        assert not np.shares_memory(out, stream)
+        assert _same_bits(stream, before)
+
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    def test_pipeline_run(self, name):
+        stream = _streams()[name]
+        before = stream.copy()
+        sim = PipelineServerSim(single_item_latency_us=3.7, ii_ns=331.0)
+        out = sim.run(stream)
+        ref = _reference_pipeline_run(sim, stream)
+        assert _same_bits(out.arrivals_ns, ref.arrivals_ns)
+        assert _same_bits(out.completions_ns, ref.completions_ns)
+        assert not np.shares_memory(out.arrivals_ns, stream)
+        assert not np.shares_memory(out.completions_ns, stream)
+        assert _same_bits(stream, before)
+
+    def test_pipeline_run_on_a_million_arrivals(self):
+        trace = _traces(1_000_000.0)["diurnal"]
+        stream = trace_arrivals(np.random.default_rng(2), trace)
+        sim = PipelineServerSim(single_item_latency_us=2.1, ii_ns=850.0)
+        out = sim.run(stream)
+        ref = _reference_pipeline_run(sim, stream)
+        assert _same_bits(out.arrivals_ns, ref.arrivals_ns)
+        assert _same_bits(out.completions_ns, ref.completions_ns)
+
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    def test_batched_run(self, name):
+        stream = _streams()[name]
+        before = stream.copy()
+        sim = BatchedServerSim(lambda b: 0.4 + 0.01 * b, batch_size=16)
+        out = sim.run(stream)
+        ref = sim._run_scalar(stream)
+        assert _same_bits(out.arrivals_ns, np.sort(stream))
+        assert _same_bits(out.completions_ns, ref.completions_ns)
+        assert not np.shares_memory(out.arrivals_ns, stream)
+        assert _same_bits(stream, before)
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        from repro import ReplicaSpec, deploy_cluster
+
+        return deploy_cluster(
+            [ReplicaSpec("small", "fpga"), ReplicaSpec("small", "cpu")],
+            router="sla-aware",
+            max_rows=64,
+        )
+
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    def test_cluster_serve_matches_plain_sort(self, monkeypatch, cluster, name):
+        stream = _streams()[name]
+        before = stream.copy()
+        routed = []
+        route = cluster.router.route
+
+        def spy(arrivals_ns, *args, **kwargs):
+            routed.append(arrivals_ns.copy())
+            return route(arrivals_ns, *args, **kwargs)
+
+        monkeypatch.setattr(cluster.router, "route", spy)
+        fast = cluster.serve(stream, telemetry=False)
+        assert _same_bits(routed[0], np.sort(stream))
+        assert _same_bits(stream, before)
+
+        def plain(arrivals_ns):
+            return np.sort(np.asarray(arrivals_ns, dtype=np.float64))
+
+        monkeypatch.setattr(queueing, "sorted_arrivals", plain)
+        monkeypatch.setattr(cluster_module, "sorted_arrivals", plain)
+        ref = cluster.serve(stream, telemetry=False)
+        assert _same_bits(fast.arrivals_ns, ref.arrivals_ns)
+        assert _same_bits(fast.completions_ns, ref.completions_ns)
+        assert np.array_equal(fast.assignments, ref.assignments)
+
+
+def _edge_values():
+    """Every bin edge and its neighbours, plus the values the bin map
+    special-cases."""
+    edges = np.concatenate((EDGES, [np.exp(_LOG_MIN)]))
+    around = np.concatenate(
+        (
+            np.nextafter(edges, -np.inf),
+            edges,
+            np.nextafter(edges, np.inf),
+        )
+    )
+    specials = np.array(
+        [
+            0.0, -0.0, -1.0, -1e-300, -5e-324, -1e300, 5e-324, 1e-300,
+            5e-7, np.nextafter(5e-7, 0.0), np.nextafter(5e-7, 1.0),
+            MIN_TRACKED, MAX_TRACKED, 1e300, np.finfo(np.float64).max,
+        ]
+    )
+    return np.concatenate((specials, around))
+
+
+class TestDigestParity:
+    def test_bin_index_on_edges(self):
+        values = _edge_values()
+        assert np.array_equal(_bin_index(values), _reference_bin_index(values))
+
+    @pytest.mark.parametrize("chunk", [None, 7, 4_093])
+    def test_bin_index_across_chunks(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(digest, "_BIN_CHUNK", chunk)
+        rng = np.random.default_rng(6)
+        values = np.concatenate(
+            (
+                _edge_values(),
+                rng.lognormal(0.0, 6.0, size=70_000),
+                -rng.random(1_000),
+            )
+        )
+        rng.shuffle(values)
+        assert np.array_equal(_bin_index(values), _reference_bin_index(values))
+
+    def test_add_many_bins_a_million_latencies(self):
+        values = np.random.default_rng(8).lognormal(-2.0, 2.5, size=1_000_000)
+        d = QuantileDigest()
+        d.add_many(values)
+        assert np.array_equal(
+            d._counts,
+            np.bincount(_reference_bin_index(values), minlength=TOTAL_BINS),
+        )
+        assert d.sum == float(values.sum())
+        assert (d.min, d.max) == (float(values.min()), float(values.max()))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.0, np.nan, 2.0],
+            [np.inf],
+            [1.0, -np.inf],
+            [np.inf, -np.inf],
+            [1e308, 1e308, np.inf],
+            [np.nan, np.inf],
+        ],
+    )
+    def test_add_many_rejects_non_finite(self, bad):
+        d = QuantileDigest()
+        d.add_many([0.5] * 600)
+        state = d.to_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                d.add_many(np.array(bad * 300))
+        assert d.to_dict() == state
+
+    def test_add_many_accepts_finite_values_whose_sum_overflows(self):
+        d = QuantileDigest()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            d.add_many(np.full(600, 1e308))
+        assert d.count == 600
+        assert d.sum == np.inf
+        assert d.max == 1e308

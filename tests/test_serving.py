@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serving.arrivals import (
+    RateSegment,
     RateTrace,
     arrivals_for,
     bursty_trace,
@@ -235,6 +236,58 @@ class TestRateTrace:
             assert arrivals.max() < 0.2e9
         with pytest.raises(ValueError, match="unknown arrival process"):
             arrivals_for("sawtooth", rng, 1000, 1.0)
+
+
+class TestNonFiniteRates:
+    """A NaN or infinite rate fails where the trace is built, naming the
+    field, instead of realising an empty or unbounded stream downstream."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_segment_peak_rate(self, bad):
+        with pytest.raises(ValueError, match="peak_rate must be finite"):
+            RateSegment(1.0, lambda t: 1.0, bad, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_segment_mean_rate(self, bad):
+        with pytest.raises(ValueError, match="mean_rate must be finite"):
+            RateSegment(1.0, lambda t: 1.0, 2.0, bad)
+
+    def test_segment_nan_rates(self):
+        with pytest.raises(ValueError, match="peak_rate must be finite"):
+            RateSegment(1.0, lambda t: 1.0, float("nan"), float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_constant_rate(self, bad):
+        with pytest.raises(ValueError, match="rate_per_s must be finite"):
+            RateTrace.constant(bad, 1.0)
+
+    def test_constant_zero_rate_stays_valid(self):
+        trace = RateTrace.constant(0.0, 1.0)
+        assert trace.peak_rate == trace.mean_rate == 0.0
+        assert trace_arrivals(np.random.default_rng(0), trace).size == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_scaled_factor(self, bad):
+        with pytest.raises(ValueError, match="factor must be positive"):
+            diurnal_trace(1000.0, 1.0).scaled(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("vectorised", [True, False])
+    def test_segment_grid_samples(self, bad, vectorised):
+        def rate(t):
+            return np.full_like(t, bad) if vectorised else bad
+
+        with pytest.raises(ValueError, match="rate_fn must be finite"):
+            segment(1.0, rate)
+
+    def test_infinite_spike_and_burst(self):
+        with pytest.raises(ValueError, match="rate_fn must be finite"):
+            flash_crowd_trace(1000.0, 1.0, spike_rate_per_s=float("inf"))
+        with pytest.raises(ValueError, match="rate_per_s must be finite"):
+            bursty_trace(
+                np.random.default_rng(0), 1000.0, 1.0,
+                burst_rate_per_s=float("inf"),
+            )
 
 
 class TestServingResult:
