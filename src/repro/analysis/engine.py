@@ -21,7 +21,7 @@ from repro.analysis.context import (
     load_module,
 )
 from repro.analysis.findings import ENGINE_RULE, Finding
-from repro.analysis.registry import available_rules, iter_rules
+from repro.analysis.registry import iter_rules
 
 #: Report schema identifier (bump on breaking payload changes).
 SCHEMA = "repro-lint/v1"
@@ -137,11 +137,3 @@ def run_lint(
         suppressed=suppressed,
     )
 
-
-def selected_codes(
-    select: Sequence[str] | None,
-) -> tuple[str, ...]:
-    """Normalised rule selection (all registered rules when None)."""
-    if select is None:
-        return available_rules()
-    return tuple(sorted(dict.fromkeys(select)))

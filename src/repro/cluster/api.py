@@ -17,7 +17,7 @@ from repro.cluster.routing import get_policy
 from repro.models.spec import ModelSpec
 from repro.runtime.api import deploy_model
 from repro.serving.arrivals import check_positive
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 
 @dataclass(frozen=True)

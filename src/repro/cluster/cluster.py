@@ -30,7 +30,7 @@ from repro.runtime.perf import PerfEstimate
 from repro.runtime.session import ServingSurface, Session
 from repro.serving.arrivals import check_positive
 from repro.serving.queueing import ServingResult, sorted_arrivals
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry

@@ -10,9 +10,7 @@ from repro.core.tables import (
 from repro.core.cartesian import (
     CartesianTable,
     MergeGroup,
-    build_cartesian_tables,
     product_spec,
-    storage_overhead_bytes,
 )
 from repro.core.allocation import (
     Placement,
@@ -22,13 +20,6 @@ from repro.core.allocation import (
 from repro.core.planner import Plan, PlannerConfig, pair_candidates, plan_tables
 from repro.core.bruteforce import brute_force_plan, set_partitions
 from repro.core.engine import MicroRecEngine
-from repro.core.refine import refine_placement
-from repro.core.sharding import (
-    ShardedTable,
-    ShardInfo,
-    ShardMap,
-    shard_oversized,
-)
 
 __all__ = [
     "TableSpec",
@@ -39,8 +30,6 @@ __all__ = [
     "MergeGroup",
     "CartesianTable",
     "product_spec",
-    "storage_overhead_bytes",
-    "build_cartesian_tables",
     "Placement",
     "PlacementError",
     "allocate_to_banks",
@@ -51,9 +40,4 @@ __all__ = [
     "brute_force_plan",
     "set_partitions",
     "MicroRecEngine",
-    "refine_placement",
-    "ShardedTable",
-    "ShardInfo",
-    "ShardMap",
-    "shard_oversized",
 ]

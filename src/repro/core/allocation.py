@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from repro.core.cartesian import MergeGroup, product_spec
 from repro.core.tables import TableSpec
-from repro.memory.banks import MemorySystemState
 from repro.memory.spec import BankKind, MemorySystemSpec
 from repro.memory.timing import MemoryTimingModel
 
@@ -50,6 +49,24 @@ class Placement:
         missing = [g for g in self.groups if g not in self.bank_of]
         if missing:
             raise PlacementError(f"groups without a bank: {missing}")
+        # The groups are disjoint and each has a bank, so any further
+        # entry places a group from outside the partition.
+        if len(self.bank_of) > len(self.groups):
+            groups = set(self.groups)
+            group, bank_id = next(
+                (g, b) for g, b in self.bank_of.items() if g not in groups
+            )
+            raise PlacementError(
+                f"bank_of places {group} (bank {bank_id}), "
+                "which is not one of the placement's groups"
+            )
+        bank_ids = {b.bank_id for b in self.memory.banks}
+        for group, bank_id in self.bank_of.items():
+            if bank_id not in bank_ids:
+                raise PlacementError(
+                    f"bank_of places {group} in bank {bank_id}, "
+                    "which the memory system does not have"
+                )
         self._spec_cache: dict[MergeGroup, TableSpec] = {}
 
     # -- derived specs ----------------------------------------------------
@@ -97,21 +114,26 @@ class Placement:
         """Extra storage relative to the unmerged model (Table 3)."""
         return self.storage_bytes / self.base_storage_bytes - 1.0
 
-    # -- timing -----------------------------------------------------------
-
-    def to_state(self) -> MemorySystemState:
-        """Materialise the occupancy state implied by this placement."""
-        state = MemorySystemState(self.memory)
-        for group, bank_id in self.bank_of.items():
-            try:
-                state.place(bank_id, group, self.group_spec(group).nbytes)
-            except ValueError as exc:
-                raise PlacementError(str(exc)) from exc
-        return state
+    # -- capacity ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`PlacementError` if any bank is over capacity."""
-        self.to_state()
+        """Raise :class:`PlacementError` if any bank is over capacity.
+
+        Groups fill their banks in ``bank_of`` order; the first one that
+        does not fit in what its bank has left raises.
+        """
+        free = {b.bank_id: b.capacity_bytes for b in self.memory.banks}
+        for group, bank_id in self.bank_of.items():
+            nbytes = self.group_spec(group).nbytes
+            if nbytes > free[bank_id]:
+                kind = self.memory.bank(bank_id).kind.value
+                raise PlacementError(
+                    f"bank {bank_id} ({kind}): "
+                    f"{nbytes} B does not fit in {free[bank_id]} B free"
+                )
+            free[bank_id] -= nbytes
+
+    # -- timing -----------------------------------------------------------
 
     def bank_serial_ns(
         self,

@@ -85,15 +85,6 @@ def product_spec(
     )
 
 
-def storage_overhead_bytes(
-    group: MergeGroup, specs: Mapping[int, TableSpec]
-) -> int:
-    """Extra bytes the product stores beyond its members combined."""
-    return product_spec(group, specs).nbytes - sum(
-        specs[tid].nbytes for tid in group.member_ids
-    )
-
-
 class CartesianTable:
     """Functional merged embedding table.
 
@@ -193,14 +184,3 @@ class CartesianTable:
         all_rows = np.arange(self.spec.rows, dtype=np.int64)
         return MaterializedTable(self.spec, self.lookup(all_rows))
 
-
-def build_cartesian_tables(
-    groups: Sequence[MergeGroup],
-    tables: Mapping[int, EmbeddingTable],
-) -> dict[MergeGroup, CartesianTable]:
-    """Wrap each merged group's members into a :class:`CartesianTable`."""
-    return {
-        g: CartesianTable(g, [tables[tid] for tid in g.member_ids])
-        for g in groups
-        if g.is_merged
-    }

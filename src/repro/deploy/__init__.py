@@ -13,7 +13,6 @@ next questions, answerable with the same substrates:
 from repro.deploy.capacity import (
     FleetPlan,
     SlaFleetPlan,
-    plan_fleet,
     plan_fleet_for,
     plan_fleet_sla,
 )
@@ -22,7 +21,6 @@ from repro.deploy.colocation import CoLocationPlan, co_locate
 __all__ = [
     "FleetPlan",
     "SlaFleetPlan",
-    "plan_fleet",
     "plan_fleet_for",
     "plan_fleet_sla",
     "CoLocationPlan",

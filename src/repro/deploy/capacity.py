@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuCostModel
-from repro.fpga.accelerator import FpgaPerformance
 from repro.serving.arrivals import (
     RateTrace,
     arrivals_for,
@@ -123,12 +121,13 @@ def plan_fleet_for(
 ) -> dict[str, FleetPlan]:
     """Size one fleet per backend performance estimate.
 
-    The backend-agnostic planner behind :func:`plan_fleet`: any
-    :class:`~repro.runtime.perf.PerfEstimate` — whatever engine produced it
-    — sizes a fleet from its sustained per-node throughput, serving-point
-    latency, and node cost.  ``headroom`` caps per-node utilisation
-    (serving fleets never run at 100%); node counts are the minimum
-    satisfying it.  Returns plans keyed by backend name.
+    Backend-agnostic: any :class:`~repro.runtime.perf.PerfEstimate` —
+    whatever engine produced it — sizes a fleet from its sustained
+    per-node throughput, serving-point latency, and node cost.  Pass
+    several sessions' ``perf()`` to compare engines for one target
+    (the paper's FPGA-vs-CPU fleet comparison).  ``headroom`` caps
+    per-node utilisation (serving fleets never run at 100%); node counts
+    are the minimum satisfying it.  Returns plans keyed by backend name.
     """
     check_positive("target_qps", target_qps)
     if not 0 < headroom <= 1:
@@ -329,35 +328,3 @@ def plan_fleet_sla(
         sla_attainment=attainment,
     )
 
-
-def plan_fleet(
-    target_qps: float,
-    fpga_perf: FpgaPerformance,
-    cpu_model: CpuCostModel,
-    cpu_batch: int = 2048,
-    headroom: float = 0.7,
-    fpga_usd_per_hour: float = ACCELERATOR_RATES["fpga"],
-    cpu_usd_per_hour: float = ACCELERATOR_RATES["cpu"],
-) -> dict[str, FleetPlan]:
-    """Size FPGA and CPU fleets for ``target_qps``.
-
-    Compatibility wrapper over :func:`plan_fleet_for` for the paper's
-    two-engine comparison; the raw performance objects are normalised into
-    :class:`~repro.runtime.perf.PerfEstimate` first.
-    """
-    from repro.runtime.perf import PerfEstimate
-
-    return plan_fleet_for(
-        target_qps,
-        [
-            PerfEstimate.from_fpga_performance(
-                fpga_perf, usd_per_hour=fpga_usd_per_hour
-            ),
-            PerfEstimate.from_cpu_model(
-                cpu_model,
-                serving_batch=cpu_batch,
-                usd_per_hour=cpu_usd_per_hour,
-            ),
-        ],
-        headroom=headroom,
-    )

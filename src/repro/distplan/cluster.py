@@ -33,7 +33,8 @@ from repro.distplan.topology import cluster_topology
 from repro.models.spec import ModelSpec, resolve_model
 from repro.runtime.perf import PerfEstimate
 from repro.runtime.session import Session
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
+from repro.serving.queueing import sorted_arrivals
 
 #: Router label reported by plan-executing (fan-out/gather) serving.
 FANOUT_ROUTER = "fanout"
@@ -164,7 +165,7 @@ class ShardedCluster(Cluster):
                 "replica sessions at deploy time instead"
             )
         self._eligible(model)  # validate the model label, if given
-        arrivals = np.sort(arrivals_ns)
+        arrivals = sorted_arrivals(arrivals_ns)
         owners = self.plan.owner_nodes()
         per_session: dict[int, np.ndarray] = {}
         completions = np.empty((len(owners), arrivals.size))

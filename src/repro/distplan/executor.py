@@ -8,8 +8,7 @@ original tables* (row-offset plus column-slice), never re-derived
 storage: a :class:`~repro.core.tables.VirtualTable` rebuilt from a shard
 spec would draw from a different hash stream, so reslicing the original
 is the only placement that can be byte-identical to the unsharded
-oracle (the same lesson :class:`~repro.core.sharding.ShardedTable`
-encodes for single-node row sharding).
+oracle.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ simulators from one place.
 
 from __future__ import annotations
 
-from repro.cpu.costmodel import CpuCostParams
 from repro.fpga.accelerator import FpgaConfig
 from repro.memory.spec import MemorySystemSpec, u280_memory_system
 from repro.memory.timing import MemoryTimingModel, default_timing_model
@@ -46,10 +45,6 @@ def default_memory() -> MemorySystemSpec:
 
 def default_timing() -> MemoryTimingModel:
     return default_timing_model(default_memory().axi)
-
-
-def default_cpu_params() -> CpuCostParams:
-    return CpuCostParams()
 
 
 def fpga_config(precision: str) -> FpgaConfig:

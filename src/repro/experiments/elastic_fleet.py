@@ -19,7 +19,7 @@ from repro.autoscale import available_scalers, compare_policies
 from repro.experiments.common import session
 from repro.experiments.report import ExperimentResult
 from repro.serving.arrivals import diurnal_trace
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 BACKEND = "gpu"
 #: Mean offered load in nodes' worth of one engine's capacity — big

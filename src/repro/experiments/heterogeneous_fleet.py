@@ -20,7 +20,7 @@ from repro.experiments.common import session
 from repro.experiments.report import ExperimentResult
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.lab import lab_seed
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 TIERS = ("fpga", "gpu", "cpu")
 #: Offered load as a fraction of the cluster's summed capacity — past

@@ -17,7 +17,7 @@ from repro.deploy.capacity import plan_fleet_sla
 from repro.experiments.common import session
 from repro.experiments.report import ExperimentResult
 from repro.serving.lab import load_sweep
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 #: ``fpga-compressed`` shares the fpga timing model, so the lab sweeps
 #: the four distinct serving architectures.

@@ -21,9 +21,6 @@ class ExperimentResult:
     rows: list[Mapping[str, object]]
     notes: list[str] = field(default_factory=list)
 
-    def column_values(self, column: str) -> list[object]:
-        return [r.get(column) for r in self.rows]
-
 
 def _fmt(value: object) -> str:
     if value is None:

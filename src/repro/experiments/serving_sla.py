@@ -4,39 +4,57 @@ Quantifies section 1's motivation and section 4.1's design claim with a
 queueing simulation: the batched CPU engine meets a 30 ms p99 SLA only up
 to a fraction of its raw batch throughput (batch assembly wait + batched
 execution), while the item-by-item MicroRec pipeline holds microsecond
-tails until it saturates near its steady-state throughput.
+tails until it saturates near its steady-state throughput.  Both engines
+are swept by the serving lab (:func:`repro.serving.lab.load_sweep`) over
+the same offered rates.
 """
 
 from __future__ import annotations
 
-from repro.cpu.costmodel import CpuCostModel
-from repro.experiments.common import accelerator, model
+from repro.experiments.common import session
 from repro.experiments.report import ExperimentResult
-from repro.serving.queueing import BatchedServerSim, PipelineServerSim
-from repro.serving.sla import DEFAULT_SLA_MS, sla_capacity_sweep
+from repro.serving.lab import DEFAULT_SLA_MS, load_sweep
 
 RATES = (1_000, 10_000, 30_000, 60_000, 120_000, 240_000, 280_000)
 
 
 def run() -> ExperimentResult:
-    m = model("small")
-    cpu = CpuCostModel(m)
-    perf = accelerator("small", "fixed16").performance()
-    batched = BatchedServerSim(
-        cpu.end_to_end_latency_ms, batch_size=256, batch_timeout_ms=5.0
-    )
-    pipelined = PipelineServerSim(perf.single_item_latency_us, perf.ii_ns)
-    reports = sla_capacity_sweep(batched, pipelined, RATES)
+    sweep = {"rates": RATES, "duration_s": 0.5, "seed": 7}
+    curves = {
+        "cpu-batched": load_sweep(
+            session("small", "cpu"),
+            batch_size=256,
+            batch_timeout_ms=5.0,
+            **sweep,
+        ),
+        "fpga-pipelined": load_sweep(
+            session("small", "fpga", "fixed16"), **sweep
+        ),
+    }
 
-    rows: list[dict[str, object]] = []
-    for report in reports.values():
-        rows.extend(report.rows())
+    # Rates and capacities are whole queries/s; as ints they render
+    # without the thousands separator floats get.
+    rows: list[dict[str, object]] = [
+        {
+            "engine": engine,
+            "rate_per_s": int(point.rate_per_s),
+            "p50_ms": point.p50_ms,
+            "p99_ms": point.p99_ms,
+            "meets_sla": point.meets_slo,
+        }
+        for engine, curve in curves.items()
+        for point in curve.points
+    ]
     rows.append(
         {
             "engine": "sla-capacity",
             "rate_per_s": None,
-            "cpu_capacity_per_s": reports["cpu"].sla_capacity_per_s,
-            "fpga_capacity_per_s": reports["fpga"].sla_capacity_per_s,
+            "cpu_capacity_per_s": int(
+                curves["cpu-batched"].sla_capacity_per_s
+            ),
+            "fpga_capacity_per_s": int(
+                curves["fpga-pipelined"].sla_capacity_per_s
+            ),
         }
     )
     return ExperimentResult(

@@ -25,7 +25,7 @@ from repro.memory.tiers import scaled_tier_hierarchy
 from repro.runtime import deploy_model
 from repro.serving.arrivals import flash_crowd_trace
 from repro.serving.popularity import PopularityModel
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 MODEL = "small"
 BACKEND = "fpga"

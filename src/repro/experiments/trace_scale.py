@@ -26,7 +26,7 @@ import numpy as np
 from repro.experiments.common import session
 from repro.experiments.report import ExperimentResult
 from repro.serving.arrivals import diurnal_trace, trace_arrivals
-from repro.serving.sla import DEFAULT_SLA_MS
+from repro.serving.lab import DEFAULT_SLA_MS
 
 #: Expected arrival count of the realised trace (Poisson, so the actual
 #: draw lands within a fraction of a percent).

@@ -20,7 +20,6 @@ from repro.memory.spec import (
     u280_memory_system,
 )
 from repro.memory.timing import MemoryTimingModel, default_timing_model
-from repro.memory.banks import BankState, MemorySystemState
 from repro.memory.dramsim import (
     AccessStats,
     DramChannelSim,
@@ -49,8 +48,6 @@ __all__ = [
     "u280_memory_system",
     "MemoryTimingModel",
     "default_timing_model",
-    "BankState",
-    "MemorySystemState",
     "AccessStats",
     "DramChannelSim",
     "DramTimingParams",

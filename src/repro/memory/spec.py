@@ -92,10 +92,6 @@ class MemorySystemSpec:
     def dram_capacity_bytes(self) -> int:
         return sum(b.capacity_bytes for b in self.dram_banks)
 
-    @property
-    def onchip_capacity_bytes(self) -> int:
-        return sum(b.capacity_bytes for b in self.onchip_banks)
-
     def bank(self, bank_id: int) -> BankSpec:
         for b in self.banks:
             if b.bank_id == bank_id:

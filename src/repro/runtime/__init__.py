@@ -7,25 +7,26 @@ a :class:`Session` with the same surface — ``infer``, ``perf``, ``serve``,
 
 Migration — before (hand-wiring each layer)::
 
-    from repro import MicroRecEngine, CpuCostModel, production_small
-    from repro.deploy import plan_fleet
+    from repro import MicroRecEngine, production_small
     from repro.serving import PipelineServerSim
 
     engine = MicroRecEngine.build(production_small().scaled(max_rows=4096))
     preds = engine.infer(queries)
     perf = engine.performance()
     sim = PipelineServerSim(perf.single_item_latency_us, perf.ii_ns)
-    fleets = plan_fleet(1e6, perf, CpuCostModel(production_small()))
 
 After (one registry, one facade)::
 
     import repro
+    from repro.deploy import plan_fleet_for
 
     session = repro.deploy_model("small", backend="fpga", max_rows=4096)
     preds = session.infer(queries)        # same predictions, bit-for-bit
     estimate = session.perf()             # backend-agnostic PerfEstimate
     result = session.serve(arrivals_ns)   # routed to the right queue sim
     fleet = session.fleet(1e6)            # nodes/cost for a target load
+    cpu = repro.deploy_model("small", backend="cpu")
+    fleets = plan_fleet_for(1e6, [estimate, cpu.perf()])  # FPGA vs CPU
 
 Swapping ``backend="cpu"`` (or any future registered backend) changes the
 engine, not the code around it.

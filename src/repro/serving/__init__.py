@@ -13,10 +13,10 @@ Layers, bottom up:
   crowd) realised by thinning;
 * :mod:`repro.serving.queueing` — the batched and pipelined server
   simulators and the :class:`ServingResult` latency distribution;
-* :mod:`repro.serving.sla` — the original two-engine tail-latency sweep;
 * :mod:`repro.serving.lab` — the trace-driven serving lab: latency-vs-load
-  :class:`LoadCurve` s (p50/p95/p99/p99.9, SLA attainment, knee
-  detection) for any deployed :class:`~repro.runtime.session.Session`.
+  :class:`LoadCurve` s (p50/p95/p99/p99.9, SLA attainment, SLA capacity,
+  knee detection) for any deployed :class:`~repro.runtime.session.Session`,
+  judged against :data:`DEFAULT_SLA_MS` by default.
 """
 
 from repro.serving.arrivals import (
@@ -36,6 +36,7 @@ from repro.serving.arrivals import (
 )
 from repro.serving.lab import (
     DEFAULT_PROCESSES,
+    DEFAULT_SLA_MS,
     DEFAULT_UTILISATIONS,
     LoadCurve,
     LoadPoint,
@@ -50,7 +51,6 @@ from repro.serving.queueing import (
     PipelineServerSim,
     ServingResult,
 )
-from repro.serving.sla import DEFAULT_SLA_MS, SlaReport, sla_capacity_sweep
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -67,6 +67,7 @@ __all__ = [
     "trace_arrivals",
     "uniform_arrivals",
     "DEFAULT_PROCESSES",
+    "DEFAULT_SLA_MS",
     "DEFAULT_UTILISATIONS",
     "LoadCurve",
     "LoadPoint",
@@ -79,7 +80,4 @@ __all__ = [
     "BatchedServerSim",
     "PipelineServerSim",
     "ServingResult",
-    "DEFAULT_SLA_MS",
-    "SlaReport",
-    "sla_capacity_sweep",
 ]

@@ -295,9 +295,6 @@ class RateTrace:
         total = sum(seg.mean_rate * seg.duration_s for seg in self.segments)
         return total / self.duration_s
 
-    def expected_arrivals(self) -> float:
-        return self.mean_rate * self.duration_s
-
     def rate_at(self, t_s: float) -> float:
         """Offered rate at ``t_s`` seconds (0 outside the horizon)."""
         if t_s < 0:

@@ -37,7 +37,6 @@ from repro.serving.arrivals import (
     arrivals_for,
     check_positive,
 )
-from repro.serving.sla import DEFAULT_SLA_MS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.session import Session
@@ -48,6 +47,9 @@ DEFAULT_PROCESSES: tuple[str, ...] = ("poisson", "diurnal", "bursty")
 #: Default offered-load grid as fractions of per-node sustained
 #: throughput: well below, near, and just past the knee.
 DEFAULT_UTILISATIONS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 0.95, 1.1)
+
+#: "Latency requirements of tens of milliseconds" (section 1).
+DEFAULT_SLA_MS = 30.0
 
 #: Percentile the SLO is judged at (the paper argues p99 tails).
 DEFAULT_SLO_PERCENTILE = 99.0

@@ -98,6 +98,59 @@ class TestPlacement:
         with pytest.raises(PlacementError):
             p.validate()
 
+    def test_unknown_bank_rejected(self, tiny_memory, small_specs):
+        groups = singleton_groups(small_specs)
+        bank_of = {g: 0 for g in groups}
+        bank_of[groups[2]] = 999
+        message = r"member_ids=\(2,\)\) in bank 999"
+        with pytest.raises(PlacementError, match=message):
+            Placement(
+                memory=tiny_memory,
+                specs=by_id(small_specs),
+                groups=groups,
+                bank_of=bank_of,
+            )
+
+    def test_stray_group_rejected(self, tiny_memory, small_specs):
+        groups = singleton_groups(small_specs)
+        bank_of = {g: 0 for g in groups}
+        bank_of[MergeGroup((7,))] = 1
+        message = r"member_ids=\(7,\)\) \(bank 1\)"
+        with pytest.raises(PlacementError, match=message):
+            Placement(
+                memory=tiny_memory,
+                specs=by_id(small_specs),
+                groups=groups,
+                bank_of=bank_of,
+            )
+
+    def _two_tables_in_one_bank(self, spare_bytes):
+        specs = [TableSpec(0, rows=10, dim=4), TableSpec(1, rows=30, dim=2)]
+        capacity = specs[0].nbytes + specs[1].nbytes + spare_bytes
+        mem = MemorySystemSpec(
+            banks=(BankSpec(0, BankKind.HBM, capacity),), name="exact"
+        )
+        groups = singleton_groups(specs)
+        return specs, Placement(
+            memory=mem,
+            specs=by_id(specs),
+            groups=groups,
+            bank_of={g: 0 for g in groups},
+        )
+
+    def test_capacity_exact_fit_validates(self):
+        _, p = self._two_tables_in_one_bank(spare_bytes=0)
+        p.validate()  # must not raise
+
+    def test_capacity_one_byte_over_names_the_bank(self):
+        specs, p = self._two_tables_in_one_bank(spare_bytes=-1)
+        # Table 0 fills its share first, so table 1 finds one byte short.
+        need = specs[1].nbytes
+        message = f"bank 0 (hbm): {need} B does not fit in {need - 1} B free"
+        with pytest.raises(PlacementError) as excinfo:
+            p.validate()
+        assert str(excinfo.value) == message
+
     def test_storage_overhead_zero_without_merging(self, tiny_memory, small_specs):
         p = self._placement(
             tiny_memory, small_specs, {0: 0, 1: 1, 2: 2, 3: 3, 4: 0, 5: 1}

@@ -9,11 +9,9 @@ import pytest
 from repro.core.cartesian import (
     CartesianTable,
     MergeGroup,
-    build_cartesian_tables,
     product_spec,
-    storage_overhead_bytes,
 )
-from repro.core.tables import TableSpec, make_tables
+from repro.core.tables import TableSpec
 
 
 def _specs_by_id(specs):
@@ -78,10 +76,10 @@ class TestProductSpec:
         specs = _specs_by_id(
             [TableSpec(0, rows=100, dim=4), TableSpec(1, rows=100, dim=4)]
         )
-        overhead = storage_overhead_bytes(MergeGroup((0, 1)), specs)
         product_bytes = product_spec(MergeGroup((0, 1)), specs).nbytes
+        members_bytes = specs[0].nbytes + specs[1].nbytes
         assert product_bytes == 100 * 100 * 8 * 4  # 320 KB
-        assert overhead == product_bytes - 2 * 100 * 4 * 4
+        assert members_bytes == 2 * 100 * 4 * 4
 
 
 class TestCartesianTable:
@@ -144,10 +142,3 @@ class TestCartesianTable:
         single = pair.lookup_members(np.array([3, 7]))
         assert single.shape == (pair.spec.dim,)
 
-
-class TestBuildCartesianTables:
-    def test_only_merged_groups_wrapped(self, small_specs):
-        tables = make_tables(small_specs, seed=0)
-        groups = [MergeGroup((0, 1)), MergeGroup((2,)), MergeGroup((3, 4))]
-        merged = build_cartesian_tables(groups, tables)
-        assert set(merged) == {MergeGroup((0, 1)), MergeGroup((3, 4))}

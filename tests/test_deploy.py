@@ -2,35 +2,24 @@
 
 import pytest
 
-from repro.cpu.costmodel import CpuCostModel
-from repro.deploy.capacity import plan_fleet
+from repro.deploy.capacity import plan_fleet_for
 from repro.deploy.colocation import co_locate
-from repro.experiments.common import accelerator
+from repro.experiments.common import session
 from repro.memory.spec import u280_memory_system
 from repro.memory.timing import default_timing_model
 from repro.models.spec import dlrm_rmc2, production_small
 
 
 @pytest.fixture(scope="module")
-def fpga_perf():
-    return accelerator("small", "fixed16").performance()
-
-
-@pytest.fixture(scope="module")
-def cpu_model():
-    return CpuCostModel(production_small())
+def estimates():
+    """The paper's pairing: fixed16 MicroRec and the batched CPU baseline."""
+    return [
+        session("small", "fpga", "fixed16").perf(),
+        session("small", "cpu").perf(),
+    ]
 
 
 class TestAcceleratorRates:
-    def test_plan_fleet_defaults_point_into_the_table(self):
-        import inspect
-
-        from repro.deploy.capacity import ACCELERATOR_RATES
-
-        params = inspect.signature(plan_fleet).parameters
-        assert params["fpga_usd_per_hour"].default == ACCELERATOR_RATES["fpga"]
-        assert params["cpu_usd_per_hour"].default == ACCELERATOR_RATES["cpu"]
-
     def test_rate_helper_maps_variants_to_their_family(self):
         from repro.deploy.capacity import ACCELERATOR_RATES, accelerator_rate
 
@@ -51,8 +40,8 @@ class TestAcceleratorRates:
 
 
 class TestPlanFleet:
-    def test_fpga_fleet_smaller_and_cheaper(self, fpga_perf, cpu_model):
-        fleets = plan_fleet(500_000, fpga_perf, cpu_model)
+    def test_fpga_fleet_smaller_and_cheaper(self, estimates):
+        fleets = plan_fleet_for(500_000, estimates)
         assert fleets["fpga"].nodes < fleets["cpu"].nodes
         assert fleets["fpga"].usd_per_hour < fleets["cpu"].usd_per_hour
         assert (
@@ -60,32 +49,32 @@ class TestPlanFleet:
             < fleets["cpu"].usd_per_million_queries
         )
 
-    def test_capacity_meets_target_with_headroom(self, fpga_perf, cpu_model):
-        fleets = plan_fleet(500_000, fpga_perf, cpu_model, headroom=0.7)
+    def test_capacity_meets_target_with_headroom(self, estimates):
+        fleets = plan_fleet_for(500_000, estimates, headroom=0.7)
         for fleet in fleets.values():
             assert fleet.fleet_qps >= fleet.target_qps
             assert fleet.utilisation <= 1.0
 
-    def test_latency_gap(self, fpga_perf, cpu_model):
-        fleets = plan_fleet(100_000, fpga_perf, cpu_model)
+    def test_latency_gap(self, estimates):
+        fleets = plan_fleet_for(100_000, estimates)
         assert fleets["fpga"].latency_ms < 0.05
         assert fleets["cpu"].latency_ms > 10.0
 
-    def test_tiny_target_needs_one_node(self, fpga_perf, cpu_model):
-        fleets = plan_fleet(10, fpga_perf, cpu_model)
+    def test_tiny_target_needs_one_node(self, estimates):
+        fleets = plan_fleet_for(10, estimates)
         assert fleets["fpga"].nodes == 1
         assert fleets["cpu"].nodes == 1
 
-    def test_scaling_linear(self, fpga_perf, cpu_model):
-        one = plan_fleet(200_000, fpga_perf, cpu_model)["fpga"].nodes
-        five = plan_fleet(1_000_000, fpga_perf, cpu_model)["fpga"].nodes
+    def test_scaling_linear(self, estimates):
+        one = plan_fleet_for(200_000, estimates)["fpga"].nodes
+        five = plan_fleet_for(1_000_000, estimates)["fpga"].nodes
         assert 4 * one <= five <= 6 * one
 
-    def test_validation(self, fpga_perf, cpu_model):
+    def test_validation(self, estimates):
         with pytest.raises(ValueError):
-            plan_fleet(0, fpga_perf, cpu_model)
+            plan_fleet_for(0, estimates)
         with pytest.raises(ValueError):
-            plan_fleet(100, fpga_perf, cpu_model, headroom=0.0)
+            plan_fleet_for(100, estimates, headroom=0.0)
 
 
 class TestCoLocate:

@@ -18,9 +18,10 @@ under fixed seeds:
   textbook LRU stack (a list, most recent key last);
 * trace replay's chunked kernels vs the per-array versions they
   replaced (copied below): Poisson draws, thinning, the pipelined
-  server's running maximum, the queue sims' and cluster's sorted-stream
-  step vs plain ``np.sort``, and the digest's bin map.  These compare
-  bit patterns, so ``-0.0`` and ``0.0`` differ.
+  server's running maximum, the sorted-stream step of the queue sims,
+  the cluster and the sharded cluster vs plain ``np.sort``, and the
+  digest's bin map.  These compare bit patterns, so ``-0.0`` and
+  ``0.0`` differ.
 
 Every comparison is exact (``np.array_equal`` or equality, not
 tolerances): any drift is a bug.
@@ -41,6 +42,7 @@ from repro.cluster.routing import (
     RoundRobinPolicy,
     SlaAwarePolicy,
 )
+from repro.distplan import cluster as sharded_module
 from repro.memory import get_cache_policy
 from repro.serving import arrivals, queueing
 from repro.serving.arrivals import (
@@ -842,6 +844,45 @@ class TestQueueSimParity:
         assert _same_bits(fast.arrivals_ns, ref.arrivals_ns)
         assert _same_bits(fast.completions_ns, ref.completions_ns)
         assert np.array_equal(fast.assignments, ref.assignments)
+
+    @pytest.fixture(scope="class")
+    def sharded(self):
+        from repro import ReplicaSpec, deploy_sharded
+
+        return deploy_sharded(
+            "small",
+            [ReplicaSpec(backend="fpga", count=2), ReplicaSpec(backend="cpu")],
+            max_rows=64,
+            node_capacity_bytes=512 * 1024 * 1024,
+        )
+
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    def test_sharded_serve_matches_plain_sort(self, monkeypatch, sharded, name):
+        stream = _streams()[name]
+        before = stream.copy()
+        fast = sharded.serve(stream, telemetry=False)
+        assert _same_bits(fast.arrivals_ns, np.sort(stream))
+        assert not np.shares_memory(fast.arrivals_ns, stream)
+        assert _same_bits(stream, before)
+
+        def plain(arrivals_ns):
+            return np.sort(np.asarray(arrivals_ns, dtype=np.float64))
+
+        monkeypatch.setattr(sharded_module, "sorted_arrivals", plain)
+        ref = sharded.serve(stream, telemetry=False)
+        assert _same_bits(fast.arrivals_ns, ref.arrivals_ns)
+        assert _same_bits(fast.completions_ns, ref.completions_ns)
+        assert np.array_equal(fast.assignments, ref.assignments)
+
+    @pytest.mark.parametrize("name", ["sorted", "unsorted", "signed-zero-ties"])
+    def test_sharded_serve_is_order_free(self, sharded, name):
+        stream = _streams()[name]
+        served = sharded.serve(stream, telemetry=False)
+        presorted = sharded.serve(np.sort(stream), telemetry=False)
+        assert _same_bits(served.arrivals_ns, presorted.arrivals_ns)
+        assert _same_bits(served.completions_ns, presorted.completions_ns)
+        assert not np.shares_memory(served.arrivals_ns, stream)
+        assert not np.shares_memory(served.completions_ns, stream)
 
 
 def _edge_values():

@@ -1,8 +1,6 @@
 """Property-based tests for the extension modules.
 
-Invariants: local-search refinement never degrades a feasible placement
-and always returns a capacity-feasible one; serving simulations conserve
-queries and respect causality; sharding partitions rows exactly.
+Invariants: serving simulations conserve queries and respect causality.
 """
 
 from __future__ import annotations
@@ -11,74 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import Placement
-from repro.core.cartesian import MergeGroup
-from repro.core.refine import refine_placement
-from repro.core.sharding import shard_oversized
-from repro.core.tables import TableSpec
-from repro.memory.axi import AxiConfig
-from repro.memory.spec import BankKind, BankSpec, MemorySystemSpec
-from repro.memory.timing import default_timing_model
 from repro.serving.queueing import BatchedServerSim, PipelineServerSim
-
-
-@st.composite
-def placements(draw):
-    """A random feasible placement over a random small memory system."""
-    channels = draw(st.integers(2, 5))
-    banks = tuple(
-        BankSpec(i, BankKind.HBM, 1 << 22) for i in range(channels)
-    )
-    memory = MemorySystemSpec(banks=banks, axi=AxiConfig(), name="prop")
-    n = draw(st.integers(1, 10))
-    specs = {
-        i: TableSpec(i, rows=draw(st.integers(1, 2000)), dim=draw(st.integers(1, 16)))
-        for i in range(n)
-    }
-    groups = tuple(MergeGroup((i,)) for i in range(n))
-    bank_of = {}
-    free = {b.bank_id: b.capacity_bytes for b in banks}
-    for g in groups:
-        nbytes = specs[g.member_ids[0]].nbytes
-        options = [b for b in free if free[b] >= nbytes]
-        bid = draw(st.sampled_from(options))
-        bank_of[g] = bid
-        free[bid] -= nbytes
-    return Placement(memory=memory, specs=specs, groups=groups, bank_of=bank_of)
-
-
-@given(placements())
-@settings(max_examples=60, deadline=None)
-def test_refinement_never_degrades_and_stays_feasible(placement):
-    timing = default_timing_model()
-    before = placement.lookup_latency_ns(timing)
-    refined = refine_placement(placement, timing)
-    refined.validate()
-    assert refined.lookup_latency_ns(timing) <= before + 1e-9
-    # Same groups, every group still placed exactly once.
-    assert set(refined.bank_of) == set(placement.bank_of)
-
-
-@given(
-    st.integers(1, 5000),
-    st.integers(1, 32),
-    st.integers(64, 1 << 20),
-)
-@settings(max_examples=80, deadline=None)
-def test_sharding_partitions_rows_exactly(rows, dim, max_bytes):
-    spec = TableSpec(0, rows=rows, dim=dim)
-    if spec.vector_bytes > max_bytes:
-        return  # a single row cannot fit; rejected elsewhere
-    out, smap = shard_oversized([spec], max_bytes)
-    infos = smap.shards_of[0]
-    assert sum(i.shard_spec.rows for i in infos) == rows
-    assert all(i.shard_spec.nbytes <= max_bytes for i in infos)
-    # Offsets are contiguous and start at zero.
-    offsets = sorted(i.row_offset for i in infos)
-    widths = {i.row_offset: i.shard_spec.rows for i in infos}
-    assert offsets[0] == 0
-    for a, b in zip(offsets, offsets[1:]):
-        assert a + widths[a] == b
 
 
 @st.composite

@@ -20,7 +20,6 @@ from repro.serving.queueing import (
     PipelineServerSim,
     ServingResult,
 )
-from repro.serving.sla import SlaReport, sla_capacity_sweep
 
 
 class _ShortfallRng:
@@ -502,40 +501,3 @@ class TestPipelineServer:
         with pytest.raises(ValueError):
             PipelineServerSim(16, 0)
 
-
-class TestSlaSweep:
-    @pytest.fixture
-    def reports(self):
-        batched = BatchedServerSim(
-            lambda b: 3.0 + 0.012 * b, batch_size=256, batch_timeout_ms=5.0
-        )
-        pipelined = PipelineServerSim(16.3, 3417.0)
-        return sla_capacity_sweep(
-            batched, pipelined, rates=(1_000, 20_000, 60_000, 200_000),
-            duration_s=0.2,
-        )
-
-    def test_fpga_capacity_exceeds_cpu(self, reports):
-        assert (
-            reports["fpga"].sla_capacity_per_s
-            > reports["cpu"].sla_capacity_per_s
-        )
-
-    def test_fpga_latency_microseconds_under_load(self, reports):
-        fpga = reports["fpga"]
-        for rate, p99 in zip(fpga.rates, fpga.p99_ms):
-            if rate <= fpga.sla_capacity_per_s:
-                assert p99 < 1.0  # sub-millisecond
-
-    def test_rows_structure(self, reports):
-        rows = reports["cpu"].rows()
-        assert len(rows) == 4
-        assert {"engine", "rate_per_s", "p50_ms", "p99_ms", "meets_sla"} <= set(
-            rows[0]
-        )
-
-    def test_capacity_zero_when_never_meeting_sla(self):
-        report = SlaReport(
-            engine="x", sla_ms=1.0, rates=(10.0,), p50_ms=(5.0,), p99_ms=(9.0,)
-        )
-        assert report.sla_capacity_per_s == 0.0

@@ -91,6 +91,11 @@ class TestLoadCurve:
         assert curve.knee_rate_per_s is None
         assert curve.sla_capacity_per_s == 200
 
+    def test_capacity_zero_when_never_meeting_slo(self):
+        points = (_point(10, 9.0, False),)
+        curve = LoadCurve("x", "poisson", 1.0, 99.0, 0.1, points)
+        assert curve.sla_capacity_per_s == 0.0
+
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             LoadCurve("x", "poisson", 5.0, 99.0, 0.1, ())
