@@ -9,8 +9,11 @@ framework's operator overhead, the batched MLP, the batching latency —
 is untouched, which is why MicroRec still wins end to end and why the
 paper notes such DRAM "would take years to put in production".
 
-The model reuses the CPU cost structure with the per-lookup memory cost
-divided by an acceleration factor.
+:class:`NmpCostModel` *is* the CPU cost model
+(:class:`~repro.cpu.costmodel.CpuCostModel`), built once with NMP-scaled
+constants: the per-lookup memory cost divided by the DIMM-level
+acceleration factor and the per-operator overhead scaled by the share
+the NMP units leave on the host.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cpu.costmodel import CpuCostModel, CpuCostParams
-from repro.models.spec import ModelSpec
+from repro.cpu.server import CpuServerSpec
 
 
 @dataclass(frozen=True)
@@ -42,33 +45,23 @@ class NmpSpec:
 
 
 @dataclass(frozen=True)
-class NmpCostModel:
-    """CPU server with NMP DIMMs: accelerated embedding, unchanged MLP."""
+class NmpCostModel(CpuCostModel):
+    """CPU server with NMP DIMMs: accelerated embedding, unchanged MLP.
 
-    model: ModelSpec
+    Constructed from ``model``, ``nmp`` and the host's ``cpu_params``;
+    ``params`` (what the inherited CPU formulas read) is derived from
+    them, and ``server`` is the stock CPU server.
+    """
+
+    server: CpuServerSpec = field(init=False, default_factory=CpuServerSpec)
+    params: CpuCostParams = field(init=False, default_factory=CpuCostParams)
     nmp: NmpSpec = field(default_factory=NmpSpec)
     cpu_params: CpuCostParams = field(default_factory=CpuCostParams)
 
-    def _adjusted(self) -> CpuCostModel:
+    def __post_init__(self) -> None:
         params = replace(
             self.cpu_params,
             t_lookup_ns=self.cpu_params.t_lookup_ns / self.nmp.lookup_speedup,
             t_op_us=self.cpu_params.t_op_us * self.nmp.op_overhead_fraction,
         )
-        return CpuCostModel(self.model, params=params)
-
-    def embedding_latency_ms(self, batch: int) -> float:
-        return self._adjusted().embedding_latency_ms(batch)
-
-    def end_to_end_latency_ms(self, batch: int) -> float:
-        return self._adjusted().end_to_end_latency_ms(batch)
-
-    def throughput_items_per_s(self, batch: int) -> float:
-        return self._adjusted().throughput_items_per_s(batch)
-
-    def throughput_gops(self, batch: int) -> float:
-        return self._adjusted().throughput_gops(batch)
-
-    def embedding_fraction(self, batch: int) -> float:
-        """Share of time still in the (accelerated) embedding layer."""
-        return self._adjusted().embedding_fraction(batch)
+        object.__setattr__(self, "params", params)

@@ -1,6 +1,6 @@
 """CPU baseline substrate: server spec, cost model, functional engine."""
 
-from repro.cpu.server import FACEBOOK_BASELINE, CpuServerSpec
+from repro.cpu.server import CpuServerSpec
 from repro.cpu.costmodel import (
     CpuCostModel,
     CpuCostParams,
@@ -10,7 +10,6 @@ from repro.cpu.baseline import CpuBaselineEngine
 
 __all__ = [
     "CpuServerSpec",
-    "FACEBOOK_BASELINE",
     "CpuCostModel",
     "CpuCostParams",
     "facebook_rmc2_embedding_us_per_item",

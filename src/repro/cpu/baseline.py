@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.tables import EmbeddingTable
-from repro.cpu.costmodel import CpuCostModel
 from repro.models.mlp import Mlp
 from repro.models.spec import ModelSpec
 from repro.models.workload import QueryBatch
@@ -42,7 +41,6 @@ class CpuBaselineEngine:
         self.model = model
         self.tables = tables
         self.mlp = mlp
-        self.cost = CpuCostModel(model)
 
     def embed(self, batch: QueryBatch) -> np.ndarray:
         """Embedding layer: gather + concatenate, ``(batch, feature_len)``."""

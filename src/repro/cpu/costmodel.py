@@ -112,6 +112,13 @@ class CpuCostModel:
             batch_size
         )
 
+    def bottleneck(self, batch_size: int) -> str:
+        """The phase holding most of the batch's time: ``"embedding"``
+        when the embedding layer takes at least half, else ``"mlp"``."""
+        if self.embedding_fraction(batch_size) >= 0.5:
+            return "embedding"
+        return "mlp"
+
 
 def facebook_rmc2_embedding_us_per_item(
     num_tables: int,

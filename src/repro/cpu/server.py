@@ -40,15 +40,3 @@ class CpuServerSpec:
             * 2
             * self.clock_ghz
         )
-
-
-#: Facebook's DeepRecSys baseline server (Table 5 comparison): 2-socket
-#: Broadwell @ 2.4 GHz, 14 cores/socket, AVX2, 256 GB DDR4.
-FACEBOOK_BASELINE = CpuServerSpec(
-    name="facebook-broadwell-2s",
-    vcpus=56,
-    physical_cores=28,
-    clock_ghz=2.4,
-    memory_channels=8,
-    dram_bytes=256 * 1024**3,
-)

@@ -19,7 +19,10 @@ Each backend maps the uniform ``build(model, *, memory, precision, seed,
   cost model (:mod:`repro.baselines.nmp`), served pipeline-style by the
   near-memory gather units.
 
-All five are registered at import time; :func:`repro.deploy_model` is the
+The three cost-modelled backends share one build,
+:meth:`ModeledBackend.build`: each names only its cost model and the
+knobs that model takes, its session type, and its operating batch.  All
+five are registered at import time; :func:`repro.deploy_model` is the
 one-call entry point above them.
 """
 
@@ -40,10 +43,12 @@ from repro.memory.timing import MemoryTimingModel
 from repro.models.mlp import PRECISIONS, Mlp, check_precision
 from repro.models.spec import ModelSpec
 from repro.runtime.backend import register_backend
+from repro.runtime.perf import CostModel
 from repro.runtime.session import (
     CpuSession,
     FpgaSession,
     GpuSession,
+    ModeledSession,
     NmpSession,
     Session,
 )
@@ -56,27 +61,6 @@ DEFAULT_CPU_SERVING_BATCH = 2048
 #: large batch sizes are used" (Gupta et al. 2020a) — at the CPU's 2048
 #: the GPU is barely ahead, so its serving point doubles it.
 DEFAULT_GPU_SERVING_BATCH = 4096
-
-
-def _reference_engine(
-    model: ModelSpec,
-    seed: int,
-    materialize_below_bytes: int,
-    mlp: Mlp | None,
-) -> CpuBaselineEngine:
-    """The shared functional path of the cost-modelled backends.
-
-    Same deterministic tables and MLP as the FPGA backends under the same
-    ``seed``, so cross-backend predictions agree bit-for-bit at fp32.
-    """
-    tables = make_tables(
-        model.tables,
-        seed=seed,
-        materialize_below_bytes=materialize_below_bytes,
-    )
-    if mlp is None:
-        mlp = Mlp.random(model.layer_dims, seed=seed)
-    return CpuBaselineEngine(model, tables, mlp)
 
 
 class FpgaBackend:
@@ -145,10 +129,24 @@ class FpgaCompressedBackend(FpgaBackend):
     compress_tables = True
 
 
-class CpuBackend:
-    """The batched TensorFlow-Serving-style CPU baseline."""
+class ModeledBackend:
+    """The one build of the cost-modelled baselines (cpu / gpu / nmp).
 
-    name = "cpu"
+    A subclass names its session type, its default operating batch, and
+    its analytical cost model with the knobs that model takes
+    (:meth:`cost_model`); the session type names the serving knobs it
+    takes (:attr:`ModeledSession.session_knobs`).
+    """
+
+    name: str
+    session_type: type[ModeledSession]
+    default_serving_batch: int
+    #: The backend's own knobs that :meth:`cost_model` takes.
+    cost_knobs: tuple[str, ...]
+
+    def cost_model(self, model: ModelSpec, **knobs: object) -> CostModel:
+        """The analytical cost model timing ``model`` under ``knobs``."""
+        raise NotImplementedError
 
     def build(
         self,
@@ -159,151 +157,125 @@ class CpuBackend:
         precision: str | None = None,
         seed: int = 0,
         planner_config: PlannerConfig | None = None,
-        server: CpuServerSpec | None = None,
-        params: CpuCostParams | None = None,
-        serving_batch: int = DEFAULT_CPU_SERVING_BATCH,
-        batch_timeout_ms: float = 10.0,
+        serving_batch: int | None = None,
         materialize_below_bytes: int = 0,
         mlp: Mlp | None = None,
-        usd_per_hour: float = accelerator_rate("cpu"),
+        usd_per_hour: float | None = None,
         **knobs: object,
     ) -> Session:
-        """Assemble the CPU session: real tables + MLP, calibrated timing.
+        """Assemble the session: real tables + MLP, modelled timing.
 
         ``memory``, ``timing``, and ``planner_config`` do not apply to the
-        CPU engine (it has no placement problem); they are accepted and
+        modelled engines (no placement problem); they are accepted and
         ignored so one knob set can sweep every backend.  The engine uses
         the *same* deterministic tables and MLP as the FPGA backends under
         the same ``seed``, so cross-backend predictions agree bit-for-bit
-        at fp32.
+        at fp32.  ``serving_batch`` and ``usd_per_hour`` default to the
+        backend's operating batch and hourly node rate.  A knob that is
+        neither shared nor the backend's own is rejected by name.
         """
-        if knobs:
+        own = {*self.cost_knobs, *self.session_type.session_knobs}
+        unexpected = sorted(knobs.keys() - own)
+        if unexpected:
             raise TypeError(
-                f"{self.name} backend got unexpected knobs {sorted(knobs)}"
+                f"{self.name} backend got unexpected knobs {unexpected}"
             )
-        del memory, timing, planner_config  # no placement problem on CPU
+        del memory, timing, planner_config  # no placement problem
         precision = check_precision(precision or "fp32")
-        engine = _reference_engine(model, seed, materialize_below_bytes, mlp)
-        cost = CpuCostModel(
+        tables = make_tables(
+            model.tables,
+            seed=seed,
+            materialize_below_bytes=materialize_below_bytes,
+        )
+        if mlp is None:
+            mlp = Mlp.random(model.layer_dims, seed=seed)
+        if serving_batch is None:
+            serving_batch = self.default_serving_batch
+        if usd_per_hour is None:
+            usd_per_hour = accelerator_rate(self.name)
+        cost = self.cost_model(
+            model, **{k: knobs.pop(k) for k in self.cost_knobs if k in knobs}
+        )
+        return self.session_type(
+            self.name,
+            model,
+            CpuBaselineEngine(model, tables, mlp),
+            cost,
+            precision,
+            PRECISIONS[precision],
+            serving_batch,
+            usd_per_hour,
+            **knobs,
+        )
+
+
+class CpuBackend(ModeledBackend):
+    """The batched TensorFlow-Serving-style CPU baseline.
+
+    Timed by the calibrated :class:`~repro.cpu.costmodel.CpuCostModel`
+    (``server``, ``params``); served batched at the paper's batch.
+    """
+
+    name = "cpu"
+    session_type = CpuSession
+    default_serving_batch = DEFAULT_CPU_SERVING_BATCH
+    cost_knobs = ("server", "params")
+
+    def cost_model(
+        self,
+        model: ModelSpec,
+        server: CpuServerSpec | None = None,
+        params: CpuCostParams | None = None,
+    ) -> CpuCostModel:
+        return CpuCostModel(
             model,
             server=server or CpuServerSpec(),
             params=params or CpuCostParams(),
         )
-        return CpuSession(
-            self.name,
-            model,
-            engine,
-            cost,
-            precision,
-            PRECISIONS[precision],
-            serving_batch,
-            batch_timeout_ms,
-            usd_per_hour,
-        )
 
 
-class GpuBackend:
-    """The GPU serving stack of the DeepRecSys observations."""
+class GpuBackend(ModeledBackend):
+    """The GPU serving stack of the DeepRecSys observations.
+
+    ``gpu`` selects the device (:class:`~repro.baselines.gpu.GpuSpec`, a
+    V100-class part by default); tables live whole in device HBM.
+    """
 
     name = "gpu"
+    session_type = GpuSession
+    default_serving_batch = DEFAULT_GPU_SERVING_BATCH
+    cost_knobs = ("gpu",)
 
-    def build(
-        self,
-        model: ModelSpec,
-        *,
-        memory: MemorySystemSpec | None = None,
-        timing: MemoryTimingModel | None = None,
-        precision: str | None = None,
-        seed: int = 0,
-        planner_config: PlannerConfig | None = None,
-        gpu: GpuSpec | None = None,
-        serving_batch: int = DEFAULT_GPU_SERVING_BATCH,
-        batch_timeout_ms: float = 10.0,
-        materialize_below_bytes: int = 0,
-        mlp: Mlp | None = None,
-        usd_per_hour: float = accelerator_rate("gpu"),
-        **knobs: object,
-    ) -> Session:
-        """Assemble the GPU session: real tables + MLP, modelled timing.
-
-        ``gpu`` selects the device (:class:`~repro.baselines.gpu.GpuSpec`,
-        a V100-class part by default).  The shared ``memory``, ``timing``,
-        and ``planner_config`` knobs do not apply (tables live whole in
-        device HBM, no placement problem); they are accepted and ignored so
-        one knob set can sweep every backend.
-        """
-        if knobs:
-            raise TypeError(
-                f"{self.name} backend got unexpected knobs {sorted(knobs)}"
-            )
-        del memory, timing, planner_config  # tables live whole in HBM
-        precision = check_precision(precision or "fp32")
-        engine = _reference_engine(model, seed, materialize_below_bytes, mlp)
-        cost = GpuCostModel(model, gpu=gpu or GpuSpec())
-        return GpuSession(
-            self.name,
-            model,
-            engine,
-            cost,
-            precision,
-            PRECISIONS[precision],
-            serving_batch,
-            batch_timeout_ms,
-            usd_per_hour,
-        )
+    def cost_model(
+        self, model: ModelSpec, gpu: GpuSpec | None = None
+    ) -> GpuCostModel:
+        return GpuCostModel(model, gpu=gpu or GpuSpec())
 
 
-class NmpBackend:
-    """A CPU server with near-memory-processing DIMMs (TensorDIMM/RecNMP)."""
+class NmpBackend(ModeledBackend):
+    """A CPU server with near-memory-processing DIMMs (TensorDIMM/RecNMP).
+
+    ``nmp`` selects the DIMM configuration
+    (:class:`~repro.baselines.nmp.NmpSpec`); ``params`` the host CPU cost
+    constants the NMP model adjusts.  The serving operating point matches
+    the CPU baseline's batch so the comparison isolates the memory system.
+    """
 
     name = "nmp"
+    session_type = NmpSession
+    default_serving_batch = DEFAULT_CPU_SERVING_BATCH
+    cost_knobs = ("nmp", "params")
 
-    def build(
+    def cost_model(
         self,
         model: ModelSpec,
-        *,
-        memory: MemorySystemSpec | None = None,
-        timing: MemoryTimingModel | None = None,
-        precision: str | None = None,
-        seed: int = 0,
-        planner_config: PlannerConfig | None = None,
         nmp: NmpSpec | None = None,
         params: CpuCostParams | None = None,
-        serving_batch: int = DEFAULT_CPU_SERVING_BATCH,
-        materialize_below_bytes: int = 0,
-        mlp: Mlp | None = None,
-        usd_per_hour: float = accelerator_rate("nmp"),
-        **knobs: object,
-    ) -> Session:
-        """Assemble the NMP session: real tables + MLP, modelled timing.
-
-        ``nmp`` selects the DIMM configuration
-        (:class:`~repro.baselines.nmp.NmpSpec`); ``params`` the host CPU
-        cost constants the NMP model adjusts.  The serving operating point
-        matches the CPU baseline's batch so the comparison isolates the
-        memory system.
-        """
-        if knobs:
-            raise TypeError(
-                f"{self.name} backend got unexpected knobs {sorted(knobs)}"
-            )
-        del memory, timing, planner_config  # DRAM is the accelerator here
-        precision = check_precision(precision or "fp32")
-        engine = _reference_engine(model, seed, materialize_below_bytes, mlp)
-        cost = NmpCostModel(
+    ) -> NmpCostModel:
+        return NmpCostModel(
             model,
             nmp=nmp or NmpSpec(),
             cpu_params=params or CpuCostParams(),
-        )
-        return NmpSession(
-            self.name,
-            model,
-            engine,
-            cost,
-            precision,
-            PRECISIONS[precision],
-            serving_batch,
-            usd_per_hour,
         )
 
 

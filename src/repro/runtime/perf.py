@@ -3,25 +3,41 @@
 Every engine in the repository quotes performance in its own dialect:
 :class:`~repro.fpga.accelerator.FpgaPerformance` speaks single-item latency
 and pipeline initiation interval, while the CPU, GPU, and near-memory cost
-models (:class:`~repro.cpu.costmodel.CpuCostModel`,
-:class:`~repro.baselines.gpu.GpuCostModel`,
-:class:`~repro.baselines.nmp.NmpCostModel`) speak batch latency curves.
-:class:`PerfEstimate` normalises all of them into one record — latency,
-sustained throughput, compute rate, serving operating point, and node cost
-— so the serving and fleet-planning layers (and any future backend)
-compare engines without knowing what is underneath.  Each ``from_*``
-constructor passes the raw model's numbers through untransformed, so the
-estimate matches the underlying cost model bit-for-bit.
+models speak batch latency curves through one interface,
+:class:`CostModel`.  :class:`PerfEstimate` normalises all of them into one
+record — latency, sustained throughput, compute rate, serving operating
+point, and node cost — so the serving and fleet-planning layers (and any
+future backend) compare engines without knowing what is underneath.  It
+has two constructors, :meth:`PerfEstimate.from_fpga_performance` for the
+pipeline and :meth:`PerfEstimate.from_cost_model` for every cost model;
+both pass the raw numbers through untransformed, so the estimate matches
+the underlying model bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Protocol
 
-from repro.baselines.gpu import GpuCostModel
-from repro.baselines.nmp import NmpCostModel
-from repro.cpu.costmodel import CpuCostModel
 from repro.fpga.accelerator import FpgaPerformance
+
+
+class CostModel(Protocol):
+    """A batched analytical cost model: its figures at one batch size.
+
+    :class:`~repro.cpu.costmodel.CpuCostModel`,
+    :class:`~repro.baselines.gpu.GpuCostModel` and
+    :class:`~repro.baselines.nmp.NmpCostModel` implement it;
+    ``bottleneck`` names the phase or component limiting the batch.
+    """
+
+    def end_to_end_latency_ms(self, batch: int, /) -> float: ...
+
+    def throughput_items_per_s(self, batch: int, /) -> float: ...
+
+    def throughput_gops(self, batch: int, /) -> float: ...
+
+    def bottleneck(self, batch: int, /) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -135,44 +151,19 @@ class PerfEstimate:
         )
 
     @classmethod
-    def from_cpu_model(
+    def from_cost_model(
         cls,
-        cost: CpuCostModel,
+        cost: CostModel,
         serving_batch: int,
         usd_per_hour: float,
-        backend: str = "cpu",
+        backend: str,
         precision: str = "fp32",
     ) -> "PerfEstimate":
-        """Normalise the batched CPU cost model at one operating batch."""
-        throughput = cost.throughput_items_per_s(serving_batch)
-        embedding_bound = cost.embedding_fraction(serving_batch) >= 0.5
-        return cls(
-            backend=backend,
-            precision=precision,
-            latency_us=cost.end_to_end_latency_ms(1) * 1e3,
-            serving_latency_ms=cost.end_to_end_latency_ms(serving_batch),
-            ii_ns=1e9 / throughput,
-            throughput_items_per_s=throughput,
-            throughput_gops=cost.throughput_gops(serving_batch),
-            serving_batch=serving_batch,
-            usd_per_hour=usd_per_hour,
-            bottleneck="embedding" if embedding_bound else "mlp",
-        )
+        """Normalise a batched analytical cost model at one operating batch.
 
-    @classmethod
-    def from_gpu_model(
-        cls,
-        cost: GpuCostModel,
-        serving_batch: int,
-        usd_per_hour: float,
-        backend: str = "gpu",
-        precision: str = "fp32",
-    ) -> "PerfEstimate":
-        """Normalise the GPU cost model at one operating batch.
-
-        Every figure is the raw :class:`~repro.baselines.gpu.GpuCostModel`
-        number, untransformed — sessions and fleet plans therefore agree
-        bit-for-bit with the baseline study the model came from.
+        Every figure is the raw cost model's number, untransformed —
+        sessions and fleet plans therefore agree bit-for-bit with the
+        baseline study the model came from.
         """
         throughput = cost.throughput_items_per_s(serving_batch)
         return cls(
@@ -186,29 +177,4 @@ class PerfEstimate:
             serving_batch=serving_batch,
             usd_per_hour=usd_per_hour,
             bottleneck=cost.bottleneck(serving_batch),
-        )
-
-    @classmethod
-    def from_nmp_model(
-        cls,
-        cost: NmpCostModel,
-        serving_batch: int,
-        usd_per_hour: float,
-        backend: str = "nmp",
-        precision: str = "fp32",
-    ) -> "PerfEstimate":
-        """Normalise the near-memory-processing cost model at one batch."""
-        throughput = cost.throughput_items_per_s(serving_batch)
-        embedding_bound = cost.embedding_fraction(serving_batch) >= 0.5
-        return cls(
-            backend=backend,
-            precision=precision,
-            latency_us=cost.end_to_end_latency_ms(1) * 1e3,
-            serving_latency_ms=cost.end_to_end_latency_ms(serving_batch),
-            ii_ns=1e9 / throughput,
-            throughput_items_per_s=throughput,
-            throughput_gops=cost.throughput_gops(serving_batch),
-            serving_batch=serving_batch,
-            usd_per_hour=usd_per_hour,
-            bottleneck="embedding" if embedding_bound else "mlp",
         )

@@ -28,22 +28,19 @@ from __future__ import annotations
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.baselines.gpu import GpuCostModel
-from repro.baselines.nmp import NmpCostModel
 from repro.core.engine import MicroRecEngine
 from repro.cpu.baseline import CpuBaselineEngine
-from repro.cpu.costmodel import CpuCostModel
 from repro.deploy.capacity import FleetPlan, plan_fleet_for
 from repro.fpga.accelerator import FpgaPerformance
 from repro.fpga.resources import ResourceReport
 from repro.models.mlp import FixedPointFormat, Mlp
 from repro.models.spec import ModelSpec
 from repro.models.workload import QueryBatch
-from repro.runtime.perf import PerfEstimate
+from repro.runtime.perf import CostModel, PerfEstimate
 from repro.serving.queueing import (
     BatchedServerSim,
     PipelineServerSim,
@@ -733,17 +730,22 @@ class ModeledSession(Session):
     over the same deterministic tables and MLP (optionally quantised to a
     fixed-point format for apples-to-apples accuracy studies), so their
     fp32 predictions agree bit-for-bit — and differ only in the analytical
-    cost model that times them (``cost`` must expose
-    ``end_to_end_latency_ms(batch)``) and in the serving architecture
-    built on top.
+    cost model that times them (any :class:`~repro.runtime.perf.CostModel`)
+    and in the serving architecture built on top.  The perf estimate is
+    the cost model's figures at ``serving_batch``, and the summary adds the
+    operating point, the backend's own cost figures
+    (:meth:`_cost_summary`) and the bottleneck.
     """
+
+    #: Build knobs this session type takes beyond the shared ones.
+    session_knobs: tuple[str, ...] = ()
 
     def __init__(
         self,
         backend: str,
         model: ModelSpec,
         engine: CpuBaselineEngine,
-        cost: CpuCostModel | GpuCostModel | NmpCostModel,
+        cost: CostModel,
         precision: str,
         fixed_point: FixedPointFormat | None,
         serving_batch: int,
@@ -765,29 +767,41 @@ class ModeledSession(Session):
     def reference(self) -> CpuBaselineEngine:
         return self.engine
 
+    def _estimate_perf(self) -> PerfEstimate:
+        return PerfEstimate.from_cost_model(
+            self.cost,
+            serving_batch=self.serving_batch,
+            usd_per_hour=self.usd_per_hour,
+            backend=self.backend,
+            precision=self.precision,
+        )
+
     def batch_latency_ms(self, batch_size: int) -> float:
         return self.cost.end_to_end_latency_ms(batch_size)
+
+    def _extra_summary(self) -> dict[str, object]:
+        perf = self.perf()
+        return {
+            "serving_batch": self.serving_batch,
+            "serving_latency_ms": perf.serving_latency_ms,
+            **self._cost_summary(),
+            "bottleneck": perf.bottleneck,
+        }
+
+    @abstractmethod
+    def _cost_summary(self) -> dict[str, object]:
+        """This backend's own cost-model figures for :meth:`summary`."""
 
 
 class BatchedModeledSession(ModeledSession):
     """Cost-modelled sessions served by the batch-assembly server (cpu/gpu)."""
 
+    session_knobs = ("batch_timeout_ms",)
+
     def __init__(
-        self,
-        backend: str,
-        model: ModelSpec,
-        engine: CpuBaselineEngine,
-        cost: CpuCostModel | GpuCostModel,
-        precision: str,
-        fixed_point: FixedPointFormat | None,
-        serving_batch: int,
-        batch_timeout_ms: float,
-        usd_per_hour: float,
+        self, *args: Any, batch_timeout_ms: float = 10.0, **kwargs: Any
     ):
-        super().__init__(
-            backend, model, engine, cost, precision, fixed_point,
-            serving_batch, usd_per_hour,
-        )
+        super().__init__(*args, **kwargs)
         self.batch_timeout_ms = batch_timeout_ms
 
     def server(
@@ -827,23 +841,11 @@ class CpuSession(BatchedModeledSession):
     calibrated :class:`~repro.cpu.costmodel.CpuCostModel`.
     """
 
-    def _estimate_perf(self) -> PerfEstimate:
-        return PerfEstimate.from_cpu_model(
-            self.cost,
-            serving_batch=self.serving_batch,
-            usd_per_hour=self.usd_per_hour,
-            backend=self.backend,
-            precision=self.precision,
-        )
-
-    def _extra_summary(self) -> dict[str, object]:
+    def _cost_summary(self) -> dict[str, object]:
         return {
-            "serving_batch": self.serving_batch,
-            "serving_latency_ms": self.perf().serving_latency_ms,
             "embedding_fraction": self.cost.embedding_fraction(
                 self.serving_batch
             ),
-            "bottleneck": self.perf().bottleneck,
         }
 
 
@@ -858,22 +860,8 @@ class GpuSession(BatchedModeledSession):
     need to be cost-effective.
     """
 
-    def _estimate_perf(self) -> PerfEstimate:
-        return PerfEstimate.from_gpu_model(
-            self.cost,
-            serving_batch=self.serving_batch,
-            usd_per_hour=self.usd_per_hour,
-            backend=self.backend,
-            precision=self.precision,
-        )
-
-    def _extra_summary(self) -> dict[str, object]:
-        return {
-            "serving_batch": self.serving_batch,
-            "serving_latency_ms": self.perf().serving_latency_ms,
-            "pcie_transfer_ms": self.cost.transfer_ms(self.serving_batch),
-            "bottleneck": self.perf().bottleneck,
-        }
+    def _cost_summary(self) -> dict[str, object]:
+        return {"pcie_transfer_ms": self.cost.transfer_ms(self.serving_batch)}
 
 
 class NmpSession(PipelinedServing, ModeledSession):
@@ -889,22 +877,10 @@ class NmpSession(PipelinedServing, ModeledSession):
     end because framework overhead and the batched MLP are untouched.
     """
 
-    def _estimate_perf(self) -> PerfEstimate:
-        return PerfEstimate.from_nmp_model(
-            self.cost,
-            serving_batch=self.serving_batch,
-            usd_per_hour=self.usd_per_hour,
-            backend=self.backend,
-            precision=self.precision,
-        )
-
-    def _extra_summary(self) -> dict[str, object]:
+    def _cost_summary(self) -> dict[str, object]:
         return {
-            "serving_batch": self.serving_batch,
-            "serving_latency_ms": self.perf().serving_latency_ms,
             "lookup_speedup": self.cost.nmp.lookup_speedup,
             "embedding_fraction": self.cost.embedding_fraction(
                 self.serving_batch
             ),
-            "bottleneck": self.perf().bottleneck,
         }

@@ -207,8 +207,8 @@ def load_sweep(
         if arrivals.size == 0:
             continue
         # compact() folds the full latency array into exact summary
-        # statistics plus a digest, so the sweep holds one O(bins)
-        # record per grid point instead of every point's raw arrays —
+        # statistics, so the sweep holds one fixed-size record per
+        # grid point instead of every point's raw arrays —
         # the difference between a 10M-arrival sweep fitting in memory
         # and not.
         summary = session.serve(arrivals, **server_knobs).compact(

@@ -15,15 +15,12 @@ load approaches pipeline capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.serving.arrivals import check_positive
 from repro.telemetry.digest import exact_quantile
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.digest import QuantileDigest
 
 
 def sorted_arrivals(arrivals_ns: np.ndarray) -> np.ndarray:
@@ -118,14 +115,13 @@ class ServingResult:
         slo_ms: float,
         slo_percentile: float = 99.0,
     ) -> "CompactServingResult":
-        """Fold this result into summary statistics plus a digest.
+        """Fold this result into summary statistics.
 
         Everything downstream consumers read — the exact percentile
         set, SLA attainment, achieved throughput — is computed once
         (with the same arithmetic the lazy properties use, so the
-        numbers are bit-identical), a streaming digest of the latency
-        distribution is attached for telemetry, and the returned
-        object holds **no reference to the raw arrays**.  Sweeps over
+        numbers are bit-identical), and the returned object holds
+        **no reference to the raw arrays**.  Sweeps over
         many grid points keep one compact record per point instead of
         every point's full latency array (see
         :func:`repro.serving.lab.load_sweep`).
@@ -136,11 +132,7 @@ class ServingResult:
                 f"slo_percentile must be in (0, 100), "
                 f"got {slo_percentile}"
             )
-        from repro.telemetry.digest import QuantileDigest
-
         latencies = self.latencies_ms
-        digest = QuantileDigest()
-        digest.add_many(latencies)
         return CompactServingResult(
             queries=self.count,
             mean_ms=float(latencies.mean()),
@@ -153,7 +145,6 @@ class ServingResult:
             sla_attainment=float((latencies <= slo_ms).mean()),
             slo_ms=float(slo_ms),
             achieved_qps=self.achieved_throughput_per_s,
-            digest=digest,
         )
 
 
@@ -162,9 +153,8 @@ class CompactServingResult:
     """Summary statistics of one serve, raw arrays dropped.
 
     Produced by :meth:`ServingResult.compact`: the exact percentile
-    figures consumers already relied on, plus the streaming digest
-    standing in for the full latency distribution.  Holding one of
-    these costs O(digest bins), not O(queries).
+    figures consumers already relied on.  Holding one of these costs
+    O(1), not O(queries).
     """
 
     queries: int
@@ -180,8 +170,6 @@ class CompactServingResult:
     sla_attainment: float
     slo_ms: float
     achieved_qps: float
-    #: Streaming digest of the latency distribution (ms).
-    digest: "QuantileDigest"
 
     @property
     def meets_slo(self) -> bool:

@@ -11,7 +11,7 @@ from repro.cpu.costmodel import (
     CpuCostParams,
     facebook_rmc2_embedding_us_per_item,
 )
-from repro.cpu.server import FACEBOOK_BASELINE, CpuServerSpec
+from repro.cpu.server import CpuServerSpec
 from repro.experiments import paper_data
 from repro.models.mlp import Mlp
 from repro.models.spec import dlrm_rmc2, production_large, production_small
@@ -22,9 +22,6 @@ class TestCpuServerSpec:
     def test_peak_gflops_derivation(self):
         # 8 cores x 2 FMA x 8 lanes x 2 ops x 2.3 GHz = 588.8 GFLOP/s
         assert CpuServerSpec().peak_gflops == pytest.approx(588.8)
-
-    def test_facebook_baseline_is_larger(self):
-        assert FACEBOOK_BASELINE.physical_cores > CpuServerSpec().physical_cores
 
 
 class TestCpuCostModelShape:

@@ -34,6 +34,7 @@ REMOVED_NAMES = (
     "plan_fleet",
     "build_cartesian_tables",
     "storage_overhead_bytes",
+    "FACEBOOK_BASELINE",
 )
 
 REMOVED_MODULES = (

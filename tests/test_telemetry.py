@@ -470,12 +470,11 @@ class TestServeObservation:
             exact = float(exact_quantile(result.latencies_ms, q))
             assert rel_err(digest.quantile(q), exact) < 0.01
 
-    def test_compact_drops_arrays_keeps_digest(self, rng):
+    def test_compact_drops_arrays(self, rng):
         arrivals = poisson_arrivals(rng, 100_000.0, 0.02)
         session = deploy_model("small", backend="cpu", max_rows=256, seed=7)
         result = session.serve(arrivals, telemetry=False)
         summary = result.compact(slo_ms=30.0)
         assert summary.queries == result.count
         assert summary.p99_ms == result.p99_ms
-        assert summary.digest.count == result.count
         assert not hasattr(summary, "latencies_ms")
