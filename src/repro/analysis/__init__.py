@@ -1,9 +1,9 @@
 """``repro.analysis`` — the project's own static-analysis pass.
 
-An AST-based invariant checker (``repro lint`` / ``python -m
-repro.analysis``) over the repo's Python sources, built around a
-**rule registry** (a :class:`repro.registry.Registry`).  Six rules ship
-built in:
+An AST-based invariant checker (``repro lint``; ``python -m
+repro.analysis`` runs the same verb) over the repo's Python sources,
+built around a **rule registry** (a :class:`repro.registry.Registry`).
+Five rules ship built in:
 
 ========  ======================  =======================================
 code      slug                    invariant
@@ -14,12 +14,13 @@ RPR002    wall-clock              wall-clock reads only inside the bench
                                   timing harness
 RPR003    unsorted-set-iteration  iterating a set requires an enclosing
                                   ``sorted()``
-RPR004    registry-hygiene        literal, unique registry keys;
-                                  ``Unknown*Error`` names available keys
+RPR004    registry-hygiene        ``register_*`` keys and registered
+                                  classes' ``name`` are string literals
 RPR005    mutable-default         no mutable default arguments
-RPR006    parity-pair             ``_*_scalar`` references keep a
-                                  vectorised companion + a pairing test
 ========  ======================  =======================================
+
+Duplicate keys and unknown-name errors are the registry's own runtime
+contract (:class:`repro.registry.Registry`), not lint rules.
 
 Suppress a finding per line with a *justified* comment::
 
@@ -41,11 +42,7 @@ registry)::
     register_rule(MyRule())
 """
 
-from repro.analysis.context import (
-    LintUsageError,
-    ModuleContext,
-    ProjectContext,
-)
+from repro.analysis.context import LintUsageError, ModuleContext
 from repro.analysis.engine import SCHEMA, LintReport, run_lint
 from repro.analysis.findings import ENGINE_RULE, Finding
 from repro.analysis.registry import (
@@ -70,7 +67,6 @@ __all__ = [
     "LintReport",
     "LintUsageError",
     "ModuleContext",
-    "ProjectContext",
     "Rule",
     "SCHEMA",
     "Suppression",

@@ -1,3 +1,5 @@
-from repro.analysis.cli import main
+import sys
 
-raise SystemExit(main())
+from repro.cli import main
+
+raise SystemExit(main(["lint", *sys.argv[1:]]))

@@ -1,12 +1,9 @@
-"""Module and project contexts the rules check against.
+"""The per-file context the rules check against.
 
 A :class:`ModuleContext` is one parsed source file: its AST, a
 child-to-parent map (rules climb it to find enclosing ``sorted()``
-calls or ``except`` handlers), its suppression table, and role flags
-derived from the path (test module?  timing harness?).  A
-:class:`ProjectContext` is every module of one lint run — the unit
-cross-module rules (duplicate registry keys, parity-pair coverage)
-finalize over.
+calls or ``except`` handlers), its suppression table, and whether the
+path lies in the timing harness.
 """
 
 from __future__ import annotations
@@ -40,17 +37,6 @@ class ModuleContext:
     problems: list[Finding] = field(default_factory=list)
 
     _parents: dict[ast.AST, ast.AST] | None = None
-    _referenced: frozenset[str] | None = None
-
-    @property
-    def is_test(self) -> bool:
-        """Test modules: relaxed registry-duplicate / parity rules."""
-        name = PurePosixPath(self.relpath).name
-        return (
-            self.relpath.startswith("tests/")
-            or name.startswith("test_")
-            or name == "conftest.py"
-        )
 
     @property
     def in_timing_harness(self) -> bool:
@@ -68,23 +54,6 @@ class ModuleContext:
             self._parents = parents
         return self._parents.get(node)
 
-    def referenced_names(self) -> frozenset[str]:
-        """Every ``Name`` id and ``Attribute`` attr in the module."""
-        if self._referenced is None:
-            names: set[str] = set()
-            if self.tree is not None:
-                for node in ast.walk(self.tree):
-                    if isinstance(node, ast.Name):
-                        names.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        names.add(node.attr)
-                    elif isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        names.add(node.name)
-            self._referenced = frozenset(names)
-        return self._referenced
-
     def finding(
         self, node: ast.AST, rule: str, message: str
     ) -> Finding:
@@ -96,20 +65,6 @@ class ModuleContext:
             rule=rule,
             message=message,
         )
-
-
-@dataclass
-class ProjectContext:
-    """Every module of one lint run."""
-
-    modules: list[ModuleContext]
-
-    @property
-    def has_tests(self) -> bool:
-        return any(m.is_test for m in self.modules)
-
-    def test_modules(self) -> list[ModuleContext]:
-        return [m for m in self.modules if m.is_test]
 
 
 def discover_files(paths: list[str]) -> list[Path]:

@@ -1,7 +1,7 @@
 """Lint engine: discover files, run rules, apply suppressions.
 
-:func:`run_lint` is the library entry point both CLIs (``repro lint``
-and ``python -m repro.analysis``) share.  The resulting
+:func:`run_lint` is the library entry point under ``repro lint`` (and
+``python -m repro.analysis``, which runs that verb).  The resulting
 :class:`LintReport` is fully deterministic — findings sorted by
 location, no timestamps, no absolute paths — so its ``--json`` form is
 byte-identical across runs on the same tree.
@@ -16,7 +16,6 @@ from typing import Sequence
 from repro.analysis.context import (
     LintUsageError,
     ModuleContext,
-    ProjectContext,
     discover_files,
     load_module,
 )
@@ -119,7 +118,6 @@ def run_lint(
     files = discover_files(list(paths))
     modules = [load_module(path, root_path) for path in files]
     by_path = {module.relpath: module for module in modules}
-    project = ProjectContext(modules=modules)
 
     findings: list[Finding] = []
     for module in modules:
@@ -127,7 +125,6 @@ def run_lint(
     for rule in rules:
         for module in modules:
             findings.extend(rule.check_module(module))
-        findings.extend(rule.finalize(project))
 
     kept, suppressed = _apply_suppressions(by_path, findings)
     return LintReport(

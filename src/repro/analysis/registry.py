@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.registry import Registry, UnknownNameError
 
 if TYPE_CHECKING:
-    from repro.analysis.context import ModuleContext, ProjectContext
+    from repro.analysis.context import ModuleContext
     from repro.analysis.findings import Finding
 
 #: Rule codes look like RPR001 — the suppression parser relies on this.
@@ -41,13 +41,8 @@ class UnknownRuleError(UnknownNameError):
 
 
 class Rule:
-    """Base class every lint rule extends.
-
-    ``check_module`` runs once per linted file; ``finalize`` runs once
-    after every file has been checked, for cross-module invariants
-    (duplicate registry keys, parity-pair test coverage).  Either may
-    be left as the default no-op.
-    """
+    """Base class every lint rule extends: ``check_module`` runs once
+    per linted file and yields its findings."""
 
     name: str = ""
     """Registry key and suppression code (``RPR001`` ...)."""
@@ -63,11 +58,6 @@ class Rule:
 
     def check_module(
         self, module: "ModuleContext"
-    ) -> Iterable["Finding"]:
-        return ()
-
-    def finalize(
-        self, project: "ProjectContext"
     ) -> Iterable["Finding"]:
         return ()
 

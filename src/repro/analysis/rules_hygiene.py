@@ -1,25 +1,13 @@
-"""RPR005 — mutable default arguments; RPR006 — parity-pair coverage.
-
-RPR006 is project-specific: every vectorised hot path keeps its
-original interpreter loop as a ``_<name>_scalar`` method (the parity
-reference the perf PRs lock behavior against).  The rule checks both
-halves of that contract — the vectorised companion exists in the same
-module, and some test module exercises the pair side by side.
-"""
+"""RPR005 — mutable default arguments."""
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
-from repro.analysis.context import ModuleContext, ProjectContext
+from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register_rule
-
-# ---------------------------------------------------------------------------
-# RPR005 — mutable defaults
-# ---------------------------------------------------------------------------
 
 _MUTABLE_CALLS = {
     "list", "dict", "set", "bytearray", "defaultdict", "OrderedDict",
@@ -81,93 +69,4 @@ class MutableDefaultRule(Rule):
                     )
 
 
-# ---------------------------------------------------------------------------
-# RPR006 — parity-pair coverage
-# ---------------------------------------------------------------------------
-
-#: `_run_scalar` -> companion `run`; `_add_many_scalar` -> `add_many`.
-_SCALAR_NAME_RE = re.compile(r"^_(?P<base>\w+?)_scalar$")
-
-
-class ParityPairRule(Rule):
-    name = "RPR006"
-    slug = "parity-pair"
-    invariant = (
-        "every _<name>_scalar parity reference has a vectorised "
-        "<name> companion in the same module and a test exercising "
-        "both"
-    )
-    rationale = (
-        "the scalar loop is the ground truth the vectorised rewrite "
-        "is judged against; an untested or orphaned pair lets the "
-        "two drift apart silently"
-    )
-
-    def __init__(self) -> None:
-        self._pairs: list[tuple[str, int, str, str]] = []
-
-    def check_module(
-        self, module: ModuleContext
-    ) -> Iterator[Finding]:
-        tree = module.tree
-        if tree is None or module.is_test:
-            return
-        names = {
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for node in ast.walk(tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            match = _SCALAR_NAME_RE.match(node.name)
-            if match is None:
-                continue
-            companion = match.group("base")
-            if companion not in names:
-                yield module.finding(
-                    node, self.name,
-                    f"parity reference {node.name}() has no "
-                    f"vectorised companion {companion}() in this "
-                    "module",
-                )
-                continue
-            self._pairs.append(
-                (module.relpath, node.lineno, node.name, companion)
-            )
-
-    def finalize(
-        self, project: ProjectContext
-    ) -> Iterator[Finding]:
-        pairs = self._pairs
-        self._pairs = []
-        if not project.has_tests:
-            # The lint run does not include the test tree (e.g.
-            # `repro lint src`): companion existence was still
-            # checked, coverage cannot be.
-            return
-        tests = project.test_modules()
-        for relpath, line, scalar, companion in pairs:
-            covered = any(
-                scalar in test.referenced_names()
-                and companion in test.referenced_names()
-                for test in tests
-            )
-            if not covered:
-                yield Finding(
-                    path=relpath,
-                    line=line,
-                    col=0,
-                    rule=self.name,
-                    message=(
-                        f"no test references both {scalar}() and "
-                        f"{companion}() — the parity pair is not "
-                        "locked by the suite"
-                    ),
-                )
-
-
 register_rule(MutableDefaultRule())
-register_rule(ParityPairRule())

@@ -889,11 +889,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run_and_report
+    from repro.analysis import run_lint
 
-    return run_and_report(
-        args.paths, select=args.select, as_json=args.json
-    )
+    # --select is repeatable, and each value may list codes by comma.
+    select = [
+        code.strip()
+        for value in args.select or ()
+        for code in value.split(",")
+        if code.strip()
+    ]
+    report = run_lint(args.paths, select=select or None)
+    if args.json:
+        _emit(report.as_dict(), sort_keys=True)
+    else:
+        print(report.render())
+    return 0 if report.clean else 1
 
 
 def _registries() -> dict[str, list[str]]:
@@ -1416,7 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", _cmd_lint, "AST invariant checker over the repo's sources",
         model=None,
         description=(
-            "Check determinism, registry-hygiene, and parity-pair "
+            "Check determinism, registry-hygiene, and mutable-default "
             "invariants (exit 0 clean, 1 findings, 2 usage error)."
         ),
         epilog=rules_epilog()

@@ -21,6 +21,7 @@ deterministic synthetic inventories that reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.tables import TableSpec
@@ -57,12 +58,14 @@ class ModelSpec:
             raise ValueError(f"{self.name}: dense_dim must be >= 0")
 
     # -- aggregates reported in the paper's Table 1 ------------------------
+    # The spec is frozen, so each sum over the tables is computed once
+    # (cost models read them on every call).
 
     @property
     def num_tables(self) -> int:
         return len(self.tables)
 
-    @property
+    @cached_property
     def embedding_dim_total(self) -> int:
         """Concatenated embedding width for one lookup round per table."""
         return sum(t.dim * t.lookups_per_inference for t in self.tables)
@@ -72,11 +75,11 @@ class ModelSpec:
         """Input width of the first MLP layer ("Feat Len" in Table 1)."""
         return self.dense_dim + self.embedding_dim_total
 
-    @property
+    @cached_property
     def total_embedding_bytes(self) -> int:
         return sum(t.nbytes for t in self.tables)
 
-    @property
+    @cached_property
     def lookups_per_inference(self) -> int:
         return sum(t.lookups_per_inference for t in self.tables)
 
@@ -88,7 +91,7 @@ class ModelSpec:
         widths = [self.feature_len, *self.hidden, 1]
         return list(zip(widths[:-1], widths[1:]))
 
-    @property
+    @cached_property
     def ops_per_inference(self) -> int:
         """Multiply-add operation count of one forward pass (2 ops/MAC).
 

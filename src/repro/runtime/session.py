@@ -25,6 +25,7 @@ curves).
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import replace
@@ -751,6 +752,13 @@ class ModeledSession(Session):
         serving_batch: int,
         usd_per_hour: float,
     ):
+        if not (
+            isinstance(serving_batch, numbers.Integral) and serving_batch > 0
+        ):
+            raise ValueError(
+                "serving_batch must be a positive integer, "
+                f"got {serving_batch}"
+            )
         super().__init__(backend, model, precision, usd_per_hour)
         self.engine = engine
         self.cost = cost
@@ -803,6 +811,10 @@ class BatchedModeledSession(ModeledSession):
     ):
         super().__init__(*args, **kwargs)
         self.batch_timeout_ms = batch_timeout_ms
+        # Memoised per knob tuple: the simulator carries no run state,
+        # so window replays reuse one engine build per configuration.
+        self._server_cache: dict[tuple[int, float], BatchedServerSim] = {}
+        self.server()  # the default server checks the knobs at deploy
 
     def server(
         self,
@@ -815,22 +827,13 @@ class BatchedModeledSession(ModeledSession):
             if batch_timeout_ms is None
             else batch_timeout_ms,
         )
-        # Memoised per knob tuple: the simulator carries no run state,
-        # so window replays reuse one engine build per configuration.
-        cache: dict[tuple[int, float], BatchedServerSim] | None = getattr(
-            self, "_server_cache", None
-        )
-        if cache is None:
-            cache = {}
-            self._server_cache = cache
-        server = cache.get(key)
+        server = self._server_cache.get(key)
         if server is None:
-            server = BatchedServerSim(
+            server = self._server_cache[key] = BatchedServerSim(
                 self.cost.end_to_end_latency_ms,
                 batch_size=key[0],
                 batch_timeout_ms=key[1],
             )
-            cache[key] = server
         return server
 
 

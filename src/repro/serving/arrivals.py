@@ -49,8 +49,8 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_rate(name: str, value: float) -> None:
-    """Reject ``value`` unless it is a finite rate ``>= 0``."""
+def check_non_negative(name: str, value: float) -> None:
+    """Reject ``value`` unless it is a finite number ``>= 0``."""
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
@@ -139,8 +139,8 @@ class RateSegment:
 
     def __post_init__(self) -> None:
         check_positive("duration_s", self.duration_s)
-        _check_rate("peak_rate", self.peak_rate)
-        _check_rate("mean_rate", self.mean_rate)
+        check_non_negative("peak_rate", self.peak_rate)
+        check_non_negative("mean_rate", self.mean_rate)
         if self.mean_rate > self.peak_rate * (1 + 1e-9):
             raise ValueError(
                 f"segment mean rate {self.mean_rate} exceeds its peak "
@@ -211,7 +211,7 @@ class RateTrace:
     @classmethod
     def constant(cls, rate_per_s: float, duration_s: float) -> "RateTrace":
         """A steady trace: one segment at a fixed rate (0 allowed)."""
-        _check_rate("rate_per_s", rate_per_s)
+        check_non_negative("rate_per_s", rate_per_s)
         return cls(
             (
                 RateSegment(

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.serving.arrivals import check_positive
+from repro.serving.arrivals import check_non_negative, check_positive
 from repro.telemetry.digest import exact_quantile
 
 
@@ -191,8 +191,7 @@ class BatchedServerSim:
     ):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if batch_timeout_ms < 0:
-            raise ValueError("batch_timeout_ms must be >= 0")
+        check_non_negative("batch_timeout_ms", batch_timeout_ms)
         self.batch_latency_ms = batch_latency_ms
         self.batch_size = batch_size
         self.batch_timeout_ns = batch_timeout_ms * 1e6
@@ -207,8 +206,8 @@ class BatchedServerSim:
         ``(end, finish)`` accumulation expanded once by ``np.repeat``),
         which keeps the per-iteration cost to a handful of float ops
         and never materialises a Python list of the stream.  Arithmetic
-        is op-for-op the original scalar loop's (see
-        :meth:`_run_scalar`), so the completion timeline is
+        is op-for-op the original per-batch NumPy-scalar loop's (kept as
+        the parity tests' reference), so the completion timeline is
         byte-identical.
 
         ``batch_latency_ms`` is memoised per batch count for the run —
@@ -264,37 +263,6 @@ class BatchedServerSim:
                 np.asarray(finishes, dtype=np.float64),
                 np.diff(np.asarray(ends), prepend=0),
             )
-        return ServingResult(arrivals_ns=arrivals, completions_ns=completions)
-
-    def _run_scalar(self, arrivals_ns: np.ndarray) -> ServingResult:
-        """The original per-batch NumPy-scalar loop.
-
-        Kept as the reference implementation the parity tests compare
-        :meth:`run` against.
-        """
-        arrivals = np.sort(np.asarray(arrivals_ns, dtype=np.float64))
-        completions = np.empty_like(arrivals)
-        n = arrivals.size
-        server_free = 0.0
-        i = 0
-        while i < n:
-            first_arrival = arrivals[i]
-            fill_idx = min(i + self.batch_size, n) - 1
-            full_at = (
-                arrivals[fill_idx]
-                if fill_idx - i + 1 == self.batch_size
-                else np.inf
-            )
-            timeout_at = first_arrival + self.batch_timeout_ns
-            dispatch = max(min(full_at, timeout_at), first_arrival, server_free)
-            j = int(np.searchsorted(arrivals, dispatch, side="right"))
-            j = max(j, i + 1)
-            j = min(j, i + self.batch_size, n)
-            batch = j - i
-            finish = dispatch + self.batch_latency_ms(batch) * 1e6
-            completions[i:j] = finish
-            server_free = finish
-            i = j
         return ServingResult(arrivals_ns=arrivals, completions_ns=completions)
 
 

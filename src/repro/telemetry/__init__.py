@@ -58,7 +58,6 @@ from repro.telemetry.spans import (
     SPAN_PHASES,
     RequestSpan,
     SpanRecorder,
-    span_seed,
 )
 
 __all__ = [
@@ -82,5 +81,4 @@ __all__ = [
     "SPAN_PHASES",
     "RequestSpan",
     "SpanRecorder",
-    "span_seed",
 ]

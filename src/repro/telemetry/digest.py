@@ -23,8 +23,8 @@ observability layer must not own O(queries) memory per metric.
   JSON encoding is byte-identical across runs.
 
 Everything is deterministic: no randomness, no wall clocks, and the
-vectorised :meth:`add_many` is arithmetic-identical to the scalar
-reference :meth:`_add_many_scalar` the parity tests compare against.
+vectorised :meth:`add_many` bins every value exactly as one-at-a-time
+adds would, which the parity tests check against a scalar reference.
 
 The module also hosts :func:`exact_quantile`, the one shared wrapper
 over :func:`numpy.percentile` that `ServingResult.percentile_ms`, the
@@ -166,16 +166,6 @@ class QuantileDigest:
         self._counts += np.bincount(
             _bin_index(arr), minlength=TOTAL_BINS
         )
-
-    def _add_many_scalar(self, values: np.ndarray | Sequence[float]) -> None:
-        """Scalar reference for :meth:`add_many` (parity-tested).
-
-        One value at a time through the same edge grid; the vectorised
-        path must produce identical bin counts and aggregates.
-        """
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        for value in arr:
-            self.add_many(np.asarray([value], dtype=np.float64))
 
     def _spill(self) -> None:
         """Move retained exact samples into the bin histogram."""

@@ -19,10 +19,11 @@ span output is as reproducible as every other artifact in the repo.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.serving.lab import lab_seed
 
 #: Canonical phase order of a serving-stack request span.
 SPAN_PHASES: tuple[str, ...] = (
@@ -38,17 +39,6 @@ DEFAULT_SAMPLE_RATE = 0.001
 
 #: Default hard cap on retained spans, whatever the stream sizes.
 DEFAULT_MAX_SPANS = 1024
-
-
-def span_seed(seed: int, *parts: object) -> int:
-    """Stable per-stream sampling seed (mirrors ``lab_seed``).
-
-    Mixing the stream tag through CRC-32 keeps sampling decisions
-    independent across streams while making the whole trace a pure
-    function of the recorder seed.
-    """
-    tag = ":".join(str(p) for p in parts)
-    return (seed * 0x9E3779B1 + zlib.crc32(tag.encode())) % 2**32
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ class SpanRecorder:
         )
         if target <= 0:
             return np.empty(0, dtype=np.int64)
-        rng = np.random.default_rng(span_seed(self.seed, *stream))
+        rng = np.random.default_rng(lab_seed(self.seed, *stream))
         drawn = rng.integers(0, count, size=target, dtype=np.int64)
         return np.unique(drawn)
 

@@ -6,8 +6,11 @@ so the repo's own ``repro lint tests`` run never parses them as code.
 """
 
 import json
+import runpy
+import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -22,13 +25,10 @@ from repro.analysis import (
     run_lint,
     scan_suppressions,
 )
-from repro.analysis.cli import main as analysis_main
 from repro.analysis.registry import _REGISTRY
 from repro.cli import main as cli_main
 
-BUILTIN_RULES = (
-    "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-)
+BUILTIN_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005")
 
 
 def lint_fixture(tmp_path, files, select=None):
@@ -45,6 +45,19 @@ def codes(report):
     return [f.rule for f in report.findings]
 
 
+def lint(*argv):
+    """``repro lint ARGV``: the exit code."""
+    return cli_main(["lint", *argv])
+
+
+def run_module(module, *argv):
+    """``python -m MODULE ARGV`` in this process: the exit code."""
+    with mock.patch.object(sys, "argv", [module, *argv]):
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module(module, run_name="__main__")
+    return exit_info.value.code
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -52,7 +65,7 @@ def codes(report):
 
 class TestRuleRegistry:
     def test_builtin_rules_registered(self):
-        assert set(BUILTIN_RULES) <= set(available_rules())
+        assert available_rules() == BUILTIN_RULES
 
     def test_get_rule_returns_registered_object(self):
         rule = get_rule("RPR001")
@@ -275,27 +288,9 @@ class TestRegistryHygiene:
         assert codes(report) == ["RPR004"]
         assert "name" in report.findings[0].message
 
-    def test_flags_duplicate_key_across_modules(self, tmp_path):
-        registry = """\
-            def register_widget(obj):
-                pass
-
-            class GpuWidget:
-                name = "gpu"
-
-            register_widget(GpuWidget())
-        """
-        report = lint_fixture(tmp_path, {
-            "reg_a.py": registry,
-            "reg_b.py": registry,
-        }, select=["RPR004"])
-        assert codes(report) == ["RPR004"]
-        finding = report.findings[0]
-        assert "duplicate registry key 'gpu'" in finding.message
-        assert "reg_a.py" in finding.message
-        assert finding.path == "reg_b.py"
-
     def test_replace_true_is_sanctioned_shadowing(self, tmp_path):
+        # Literal keys are clean wherever they repeat: a duplicate is
+        # Registry.register's error at import (tests/test_registry.py).
         report = lint_fixture(tmp_path, {
             "reg_a.py": """\
                 def register_widget(name):
@@ -310,32 +305,6 @@ class TestRegistryHygiene:
                 register_widget("gpu", replace=True)
             """,
         }, select=["RPR004"])
-        assert report.clean
-
-    def test_flags_unknown_error_without_available_keys(self, tmp_path):
-        report = lint_fixture(tmp_path, {"widgets.py": """\
-            class UnknownWidgetError(LookupError):
-                pass
-
-            def get_widget(name):
-                raise UnknownWidgetError(f"unknown widget {name!r}")
-        """}, select=["RPR004"])
-        assert codes(report) == ["RPR004"]
-        assert "available keys" in report.findings[0].message
-
-    def test_unknown_error_naming_keys_is_clean(self, tmp_path):
-        report = lint_fixture(tmp_path, {"widgets.py": """\
-            _REGISTRY = {}
-
-            class UnknownWidgetError(LookupError):
-                pass
-
-            def get_widget(name):
-                raise UnknownWidgetError(
-                    f"unknown widget {name!r}; available: "
-                    f"{', '.join(sorted(_REGISTRY)) or '(none)'}"
-                )
-        """}, select=["RPR004"])
         assert report.clean
 
 
@@ -368,70 +337,6 @@ class TestMutableDefault:
                     items = []
                 return items, shape, label
         """}, select=["RPR005"])
-        assert report.clean
-
-
-# ---------------------------------------------------------------------------
-# RPR006 — parity-pair coverage
-# ---------------------------------------------------------------------------
-
-
-class TestParityPair:
-    def test_flags_scalar_without_companion(self, tmp_path):
-        report = lint_fixture(tmp_path, {"mod.py": """\
-            def _frob_scalar(xs):
-                return [x + 1 for x in xs]
-        """}, select=["RPR006"])
-        assert codes(report) == ["RPR006"]
-        assert "no vectorised companion" in report.findings[0].message
-
-    def test_flags_pair_without_locking_test(self, tmp_path):
-        report = lint_fixture(tmp_path, {
-            "mod.py": """\
-                def _frob_scalar(xs):
-                    return [x + 1 for x in xs]
-
-                def frob(xs):
-                    return [x + 1 for x in xs]
-            """,
-            "tests/test_mod.py": """\
-                from mod import frob
-
-                def test_frob():
-                    assert frob([1]) == [2]
-            """,
-        }, select=["RPR006"])
-        assert codes(report) == ["RPR006"]
-        assert "_frob_scalar" in report.findings[0].message
-
-    def test_pair_with_parity_test_is_clean(self, tmp_path):
-        report = lint_fixture(tmp_path, {
-            "mod.py": """\
-                def _frob_scalar(xs):
-                    return [x + 1 for x in xs]
-
-                def frob(xs):
-                    return [x + 1 for x in xs]
-            """,
-            "tests/test_mod.py": """\
-                from mod import _frob_scalar, frob
-
-                def test_parity():
-                    assert frob([1]) == _frob_scalar([1])
-            """,
-        }, select=["RPR006"])
-        assert report.clean
-
-    def test_coverage_half_skipped_without_test_tree(self, tmp_path):
-        # `repro lint src` alone cannot see the tests; only the
-        # companion-existence half applies.
-        report = lint_fixture(tmp_path, {"mod.py": """\
-            def _frob_scalar(xs):
-                return [x + 1 for x in xs]
-
-            def frob(xs):
-                return [x + 1 for x in xs]
-        """}, select=["RPR006"])
         assert report.clean
 
 
@@ -557,15 +462,15 @@ class TestReportDeterminism:
             Path(__file__).resolve().parent.parent
             / "src" / "repro" / "analysis" / "findings.py"
         )
-        assert analysis_main([target, "--json"]) == 0
+        assert lint(target, "--json") == 0
         first = capsys.readouterr().out
-        assert analysis_main([target, "--json"]) == 0
+        assert lint(target, "--json") == 0
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.analysis and the repro lint verb)
+# CLI (the repro lint verb; python -m repro.analysis runs it)
 # ---------------------------------------------------------------------------
 
 
@@ -581,45 +486,61 @@ class TestCli:
         return str(path)
 
     def test_exit_zero_on_clean_tree(self, capsys, tmp_path):
-        assert analysis_main([self.write_clean(tmp_path)]) == 0
+        assert lint(self.write_clean(tmp_path)) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, capsys, tmp_path):
-        assert analysis_main([self.write_dirty(tmp_path)]) == 1
+        assert lint(self.write_dirty(tmp_path)) == 1
         assert "RPR005" in capsys.readouterr().out
 
     def test_exit_two_on_missing_path(self, capsys, tmp_path):
-        assert analysis_main([str(tmp_path / "nope")]) == 2
+        assert lint(str(tmp_path / "nope")) == 2
         assert "no such file" in capsys.readouterr().err
 
     def test_exit_two_on_unknown_select(self, capsys, tmp_path):
-        code = analysis_main(
-            [self.write_clean(tmp_path), "--select", "RPR999"]
-        )
+        code = lint(self.write_clean(tmp_path), "--select", "RPR999")
         assert code == 2
         assert "RPR999" in capsys.readouterr().err
 
-    def test_select_restricts_rules(self, capsys, tmp_path):
-        # dirty.py violates RPR005 only; selecting RPR002 is clean.
-        code = analysis_main(
-            [self.write_dirty(tmp_path), "--select", "RPR002"]
+    def test_retired_parity_rule_is_unknown(self, capsys, tmp_path):
+        code = lint(self.write_clean(tmp_path), "--select", "RPR006")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "unknown lint rule 'RPR006'; registered rules: "
+            + ", ".join(BUILTIN_RULES) + "\n"
         )
-        assert code == 0
+
+    def test_select_restricts_rules(self, capsys, tmp_path):
+        # dirty.py violates RPR005 only; selecting RPR002 is clean, and
+        # so is RPR002 listed by comma or repeated.
+        dirty = self.write_dirty(tmp_path)
+        assert lint(dirty, "--select", "RPR002") == 0
+        assert lint(dirty, "--select", "RPR002,RPR001") == 0
+        assert lint(dirty, "--select", "RPR002", "--select", "RPR005") == 1
         capsys.readouterr()
 
     def test_json_flag_emits_schema(self, capsys, tmp_path):
-        assert analysis_main([self.write_dirty(tmp_path), "--json"]) == 1
+        assert lint(self.write_dirty(tmp_path), "--json") == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-lint/v1"
         assert payload["counts"] == {"RPR005": 1}
 
     def test_repro_lint_verb_matches_module_cli(self, capsys, tmp_path):
-        dirty = self.write_dirty(tmp_path)
-        assert cli_main(["lint", dirty, "--json"]) == 1
-        via_verb = capsys.readouterr().out
-        assert analysis_main([dirty, "--json"]) == 1
-        via_module = capsys.readouterr().out
-        assert via_verb == via_module
+        # `python -m repro.analysis ARGS` is `python -m repro lint ARGS`:
+        # same stdout, stderr and exit code.
+        cases = [
+            ([self.write_clean(tmp_path)], 0),
+            ([self.write_dirty(tmp_path), "--json"], 1),
+            ([str(tmp_path / "nope")], 2),
+            ([self.write_clean(tmp_path), "--select", "RPR999"], 2),
+        ]
+        for argv, code in cases:
+            assert run_module("repro", "lint", *argv) == code
+            via_verb = capsys.readouterr()
+            assert run_module("repro.analysis", *argv) == code
+            assert capsys.readouterr() == via_verb
 
     def test_repro_lint_exit_codes(self, capsys, tmp_path):
         assert cli_main(["lint", self.write_clean(tmp_path)]) == 0
@@ -650,5 +571,5 @@ class TestCli:
     ):
         path = tmp_path / "broken.py"
         path.write_text("def broken(:\n")
-        assert analysis_main([str(path)]) == 1
+        assert lint(str(path)) == 1
         assert ENGINE_RULE in capsys.readouterr().out

@@ -11,8 +11,11 @@ the raw cost model it is compared against moves with it.
 
 The knob tests pin each backend's knob set: every backend takes the
 shared knobs, each takes its own, and each rejects the others' by name.
+A bad ``serving_batch`` or ``batch_timeout_ms`` fails at
+``deploy_model`` with a ``ValueError`` naming the knob.
 """
 
+import math
 import re
 
 import pytest
@@ -514,16 +517,39 @@ def test_rejects_other_backends_knobs(backend, knob):
         repro.deploy_model("small", backend=backend, **{knob: None})
 
 
-#: The cost model's own batch check fails a zero operating batch.
-ZERO_BATCH_ERRORS = {
-    "cpu": "batch_size must be positive, got 0",
-    "gpu": "batch must be positive, got 0",
-    "nmp": "batch_size must be positive, got 0",
+#: Each serving knob's deploy-time check, and values it rejects.
+SERVING_KNOB_CHECKS = {
+    "serving_batch": (
+        "must be a positive integer", (math.nan, math.inf, 2.5, -4)
+    ),
+    "batch_timeout_ms": ("must be finite and >= 0", (math.nan, math.inf, -4)),
 }
 
+BAD_SERVING_KNOBS = [
+    (backend, knob, value)
+    for backend in sorted(OWN_KNOBS)
+    for knob, (_rule, values) in SERVING_KNOB_CHECKS.items()
+    if knob == "serving_batch" or knob in OWN_KNOBS[backend]
+    for value in values
+]
 
-@pytest.mark.parametrize("backend", sorted(ZERO_BATCH_ERRORS))
+
+def _knob_error(knob, value):
+    rule, _values = SERVING_KNOB_CHECKS[knob]
+    return f"^{re.escape(f'{knob} {rule}, got {value}')}$"
+
+
+@pytest.mark.parametrize("backend", sorted(OWN_KNOBS))
 def test_serving_batch_zero_fails(backend):
-    session = repro.deploy_model("small", backend=backend, serving_batch=0)
-    with pytest.raises(ValueError, match=f"^{ZERO_BATCH_ERRORS[backend]}$"):
-        session.perf()
+    with pytest.raises(ValueError, match=_knob_error("serving_batch", 0)):
+        repro.deploy_model("small", backend=backend, serving_batch=0)
+
+
+@pytest.mark.parametrize(
+    ("backend", "knob", "value"),
+    BAD_SERVING_KNOBS,
+    ids=[f"{b}-{k}-{v}" for b, k, v in BAD_SERVING_KNOBS],
+)
+def test_bad_serving_knob_fails_at_deploy(backend, knob, value):
+    with pytest.raises(ValueError, match=_knob_error(knob, value)):
+        repro.deploy_model("small", backend=backend, **{knob: value})

@@ -75,6 +75,31 @@ class TestModelSpec:
         )
         assert model.layer_dims == [(4, 8), (8, 2), (2, 1)]
 
+    def test_aggregates_cached_and_layer_dims_fresh(self):
+        model = production_small()
+        tables = model.tables
+        assert model.lookups_per_inference == sum(
+            t.lookups_per_inference for t in tables
+        )
+        assert model.embedding_dim_total == sum(
+            t.dim * t.lookups_per_inference for t in tables
+        )
+        assert model.total_embedding_bytes == sum(t.nbytes for t in tables)
+        assert model.ops_per_inference == sum(
+            2 * din * dout for din, dout in model.layer_dims
+        )
+        cached = {
+            "lookups_per_inference", "embedding_dim_total",
+            "total_embedding_bytes", "ops_per_inference",
+        }
+        assert cached <= set(vars(model))
+        # Cached values are not fields: equality and hashing ignore them.
+        assert model == production_small()
+        assert hash(model) == hash(production_small())
+        dims = model.layer_dims
+        dims.clear()
+        assert model.layer_dims == [(352, 1024), (1024, 512), (512, 256), (256, 1)]
+
     def test_duplicate_table_ids_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(

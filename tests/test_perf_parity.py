@@ -5,7 +5,7 @@ original scalar implementation, and these tests pin the fast paths to it
 under fixed seeds:
 
 * the batched server's batch-major loop vs the per-batch NumPy-scalar
-  reference (:meth:`BatchedServerSim._run_scalar`);
+  loop it replaced (restated verbatim below);
 * the routing policies' incremental scan loops vs the original
   ``min(order, key=...)`` virtual-queue loops (restated verbatim below),
   plus a pinned byte-for-byte decision regression; for ``sla-aware``
@@ -79,6 +79,35 @@ from repro.telemetry.digest import (
 # ---------------------------------------------------------------------------
 
 
+def _reference_batched_run(sim, arrivals_ns):
+    """The original per-batch NumPy-scalar loop of
+    :meth:`BatchedServerSim.run`, verbatim."""
+    arrivals = np.sort(np.asarray(arrivals_ns, dtype=np.float64))
+    completions = np.empty_like(arrivals)
+    n = arrivals.size
+    server_free = 0.0
+    i = 0
+    while i < n:
+        first_arrival = arrivals[i]
+        fill_idx = min(i + sim.batch_size, n) - 1
+        full_at = (
+            arrivals[fill_idx]
+            if fill_idx - i + 1 == sim.batch_size
+            else np.inf
+        )
+        timeout_at = first_arrival + sim.batch_timeout_ns
+        dispatch = max(min(full_at, timeout_at), first_arrival, server_free)
+        j = int(np.searchsorted(arrivals, dispatch, side="right"))
+        j = max(j, i + 1)
+        j = min(j, i + sim.batch_size, n)
+        batch = j - i
+        finish = dispatch + sim.batch_latency_ms(batch) * 1e6
+        completions[i:j] = finish
+        server_free = finish
+        i = j
+    return ServingResult(arrivals_ns=arrivals, completions_ns=completions)
+
+
 class TestBatchedServerParity:
     @pytest.mark.parametrize(
         "n,batch_size,timeout_ms",
@@ -100,7 +129,7 @@ class TestBatchedServerParity:
             batch_timeout_ms=timeout_ms,
         )
         fast = sim.run(arrivals)
-        slow = sim._run_scalar(arrivals)
+        slow = _reference_batched_run(sim, arrivals)
         assert np.array_equal(fast.arrivals_ns, slow.arrivals_ns)
         assert np.array_equal(fast.completions_ns, slow.completions_ns)
 
@@ -803,7 +832,7 @@ class TestQueueSimParity:
         before = stream.copy()
         sim = BatchedServerSim(lambda b: 0.4 + 0.01 * b, batch_size=16)
         out = sim.run(stream)
-        ref = sim._run_scalar(stream)
+        ref = _reference_batched_run(sim, stream)
         assert _same_bits(out.arrivals_ns, np.sort(stream))
         assert _same_bits(out.completions_ns, ref.completions_ns)
         assert not np.shares_memory(out.arrivals_ns, stream)

@@ -20,7 +20,8 @@ SUBPACKAGES = sorted(
 
 #: Names of removed code: single-node row sharding, placement
 #: refinement, the bank-state model, the two-engine SLA sweep, the
-#: two-engine fleet wrapper and two Cartesian helpers.
+#: two-engine fleet wrapper, two Cartesian helpers, the span-only copy
+#: of ``lab_seed`` and the lint engine's cross-module phase.
 REMOVED_NAMES = (
     "refine_placement",
     "shard_oversized",
@@ -35,6 +36,8 @@ REMOVED_NAMES = (
     "build_cartesian_tables",
     "storage_overhead_bytes",
     "FACEBOOK_BASELINE",
+    "span_seed",
+    "ProjectContext",
 )
 
 REMOVED_MODULES = (
@@ -42,6 +45,7 @@ REMOVED_MODULES = (
     "repro.core.sharding",
     "repro.memory.banks",
     "repro.serving.sla",
+    "repro.analysis.cli",
 )
 
 

@@ -96,7 +96,15 @@ def test_a_missing_non_str_or_empty_name_is_rejected(reg, item):
 
 
 def test_a_duplicate_needs_replace_and_replace_takes_over(reg):
-    register, get, _available, _error = reg
+    register, get, available, _error = reg
+    builtins = available()
+    assert builtins
+    for name in builtins:
+        original = get(name)
+        with pytest.raises(ValueError, match="replace=True"):
+            register(Item(name))
+        assert get(name) is original
+    assert available() == builtins
     first, second = Item(FRESH), Item(FRESH)
     assert register(first) is first
     with pytest.raises(ValueError, match="replace=True"):

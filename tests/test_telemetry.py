@@ -7,6 +7,7 @@ import pytest
 
 from repro.runtime import deploy_model
 from repro.serving.arrivals import poisson_arrivals
+from repro.serving.lab import lab_seed
 from repro.telemetry import (
     EXACT_LIMIT,
     QuantileDigest,
@@ -18,7 +19,6 @@ from repro.telemetry import (
     exact_quantile,
     get_exporter,
     register_exporter,
-    span_seed,
 )
 
 QS = (50.0, 90.0, 99.0, 99.9)
@@ -235,6 +235,14 @@ class TestDigestSerialisation:
             QuantileDigest.from_dict(payload)
 
 
+def _reference_add_many(digest, values):
+    """The scalar reference :meth:`QuantileDigest.add_many` replaced:
+    one value at a time through the same edge grid, verbatim."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    for value in arr:
+        digest.add_many(np.asarray([value], dtype=np.float64))
+
+
 class TestAddManyScalarParity:
     """The vectorised path against its scalar parity reference."""
 
@@ -250,7 +258,7 @@ class TestAddManyScalarParity:
         fast = QuantileDigest()
         fast.add_many(values)
         slow = QuantileDigest()
-        slow._add_many_scalar(values)
+        _reference_add_many(slow, values)
         assert fast.count == slow.count
         # Summation order differs (numpy pairwise vs sequential), so the
         # running sum matches only to float tolerance; the bin counts —
@@ -364,9 +372,18 @@ class TestExporterRegistry:
 
 class TestSpans:
     def test_span_seed_deterministic_and_sensitive(self):
-        assert span_seed(7, "serve", "fpga") == span_seed(7, "serve", "fpga")
-        assert span_seed(7, "serve", "fpga") != span_seed(8, "serve", "fpga")
-        assert span_seed(7, "serve", "fpga") != span_seed(7, "serve", "gpu")
+        # Sampling is seeded by lab_seed over the recorder seed and the
+        # stream tag, like every other simulated stream.
+        def sample(seed, *stream):
+            return SpanRecorder(sample_rate=0.01, seed=seed).sample_indices(
+                10_000, *stream
+            )
+
+        rng = np.random.default_rng(lab_seed(7, "serve", "fpga"))
+        expected = np.unique(rng.integers(0, 10_000, size=100))
+        np.testing.assert_array_equal(sample(7, "serve", "fpga"), expected)
+        assert not np.array_equal(sample(8, "serve", "fpga"), expected)
+        assert not np.array_equal(sample(7, "serve", "gpu"), expected)
 
     def test_sample_indices_deterministic(self):
         a = SpanRecorder(sample_rate=0.01, seed=7)
