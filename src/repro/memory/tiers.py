@@ -16,12 +16,20 @@ This module makes hot-row caching a first-class layer:
   resolves names and raises :class:`UnknownCachePolicyError` with the
   registered names on a typo.
 
-Each built-in policy replays a trace in one pass over its keys as Python
-ints, marking hits in a list that becomes the bool array once: ``lru``
-keeps an ``OrderedDict`` in recency order, ``lfu`` evicts from a lazily
-refreshed heap of packed (count, last position) ints, and
-``admit-on-second-touch`` runs that ``OrderedDict`` LRU behind a ghost
-LRU of keys seen once.
+A replay costs what its evictions cost.  A trace that cannot evict (no
+more distinct keys than ``capacity_rows`` for ``lru``, no more keys than
+it for ``lfu`` and ``admit-on-second-touch``) is answered in one
+vectorised pass from each access's previous touch, found with one packed
+``np.sort``: every repeat hits under ``lru`` and ``lfu``, every third and
+later touch under ``admit-on-second-touch``.  Otherwise ``lru`` marks
+every reuse within ``capacity_rows`` accesses as a hit unvisited and
+loops over the rest, tracking only the latest victim's position; ``lfu``
+loops over every key, queueing once-touched residents in a ``deque`` in
+front of a lazily refreshed heap of packed (count, last position) ints;
+and ``admit-on-second-touch`` runs an ``OrderedDict`` LRU behind a ghost
+LRU of keys seen once.  Every hit flag equals the one the plain
+per-key replay gives (``tests/test_memory_tiers.py`` keeps those loops as
+its oracles).
 
 Everything above this layer (``PerfEstimate``, the serving surfaces, the
 autoscaler, the bench) consumes :class:`TierHierarchy` through
@@ -39,7 +47,9 @@ Plug-in example::
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+import math
+import numbers
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -83,7 +93,11 @@ class CachePolicy(Protocol):
     that starts empty and returns a boolean hit flag per access.  It
     must be a *pure, deterministic* function of its arguments — the tier
     cascade and the serving path rely on replayability for the
-    byte-identical ``--json`` guarantees.
+    byte-identical ``--json`` guarantees.  The built-in policies take
+    only a positive integer ``capacity_rows`` (a numpy integer, not a
+    bool) and raise ``ValueError`` naming it otherwise;
+    :meth:`TierHierarchy.assign_tiers` rejects a policy that does not
+    return exactly one flag per key.
     """
 
     name: str
@@ -93,39 +107,110 @@ class CachePolicy(Protocol):
         ...
 
 
-def _replay_input(keys: np.ndarray, capacity_rows: int) -> list[int]:
-    """Validate a replay's capacity and return its keys as Python ints."""
-    if capacity_rows <= 0:
+def _is_count(value: object, minimum: int = 1) -> bool:
+    """True for an int or numpy integer >= ``minimum`` (never a bool)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= minimum
+    )
+
+
+def _replay_input(
+    keys: np.ndarray, capacity_rows: object
+) -> tuple[np.ndarray, int]:
+    """Validate a replay's capacity; return its keys as int64 and it."""
+    if not _is_count(capacity_rows):
         raise ValueError(
-            f"capacity_rows must be positive, got {capacity_rows}"
+            f"capacity_rows must be a positive integer, got {capacity_rows}"
         )
-    return np.asarray(keys, dtype=np.int64).ravel().tolist()
+    return np.asarray(keys, dtype=np.int64).ravel(), int(capacity_rows)
+
+
+def _touches(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The previous and next touch of each access's key.
+
+    Returns ``(prev, next)``: the position of the key's previous access
+    (-1 on a first touch) and of its next one (``keys.size`` after the
+    last), int32 while positions fit.  One ``np.sort`` of packed
+    ``(key << shift) | position`` values orders the accesses by key,
+    then position; keys outside the packable range (negative, or too
+    wide to share 63 bits with a position) take a stable argsort.
+    """
+    n = keys.size
+    shift = n.bit_length()
+    dtype = np.int32 if n < 2**31 else np.int64
+    if n and keys.min() >= 0 and int(keys.max()) < 1 << (63 - shift):
+        packed = keys << shift
+        packed |= np.arange(n)
+        packed.sort()
+        order = (packed & ((1 << shift) - 1)).astype(dtype)
+        sorted_keys = packed >> shift
+        del packed
+    else:
+        order = np.argsort(keys, kind="stable").astype(dtype)
+        sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    del sorted_keys
+    before, after = order[:-1][same], order[1:][same]
+    prev = np.full(n, -1, dtype=dtype)
+    prev[after] = before
+    following = np.full(n, n, dtype=dtype)
+    following[before] = after
+    return prev, following
 
 
 class LruPolicy:
     """Least-recently-used with insert-on-miss.
 
-    Replays the trace through an ``OrderedDict`` kept in recency order:
-    a hit moves its key to the back, a miss inserts at the back and, once
-    past capacity, evicts the front (the least recently used key).
+    A reuse at most ``capacity_rows`` accesses after its key's previous
+    touch always hits: at most ``capacity_rows - 1`` distinct keys came
+    between (the stack-distance argument), so those hits are set
+    vectorised and never visited.  A trace with no more distinct keys
+    than ``capacity_rows`` cannot evict, so every repeat hits.
+
+    Otherwise a loop visits first touches and longer reuses.  LRU evicts
+    keys in the order of their last touches, so the replay keeps only the
+    last victim's position: a visited access hits iff its previous touch
+    is later.  Each victim is the earliest position past that one whose
+    key is not touched again before the miss.  A victim's last touch is
+    at least ``capacity_rows`` accesses older than the miss and its next
+    touch is after it, so the scan reads only positions whose next touch
+    lies more than ``capacity_rows`` ahead, in order, once.
     """
 
     name = "lru"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
-        keys_list = _replay_input(keys, capacity_rows)
-        flags = [False] * len(keys_list)
-        cache: OrderedDict[int, None] = OrderedDict()
-        touch, evict = cache.move_to_end, cache.popitem
-        for i, key in enumerate(keys_list):
-            if key in cache:
-                touch(key)
-                flags[i] = True
+        keys, capacity = _replay_input(keys, capacity_rows)
+        prev, following = _touches(keys)
+        flags = prev >= 0
+        if keys.size - np.count_nonzero(flags) <= capacity:
+            return flags
+        position = np.arange(keys.size, dtype=prev.dtype)
+        flags &= position - prev <= capacity
+        visit = np.flatnonzero(~flags)
+        visit_prev = prev[visit].tolist()
+        victims = np.flatnonzero(following - position > capacity)
+        victim_next = following[victims].tolist()
+        victims = victims.tolist()
+        del prev, following, position  # the loop's lists replace them
+        late_hits = []
+        evicted = -1  # last touch of the latest victim
+        misses = 0
+        j = 0
+        for i, p in zip(visit.tolist(), visit_prev):
+            if p > evicted:
+                late_hits.append(i)
                 continue
-            cache[key] = None
-            if len(cache) > capacity_rows:
-                evict(False)
-        return np.array(flags, dtype=bool)
+            misses += 1
+            if misses > capacity:
+                while victim_next[j] <= i:
+                    j += 1
+                evicted = victims[j]
+                j += 1
+        flags[late_hits] = True
+        return flags
 
 
 class LfuPolicy:
@@ -134,21 +219,32 @@ class LfuPolicy:
     Evicts the least recently touched key of the lowest access count; an
     evicted key forgets its count (no ghost history).  Each resident
     key's state is one int packing ``(count << shift) | position`` of its
-    last access, so ordering states orders victims.  The eviction heap
-    holds one entry per resident key that may lag its state (hits only
-    update the dict); a lagging top is refreshed in place, and the first
-    top equal to its key's state is the victim.  States only grow, so
-    that top is the minimum over every resident key.
+    last access, so ordering states orders victims.  A trace no longer
+    than ``capacity_rows`` cannot evict, so every repeat hits.
+
+    Residents touched once are always the lowest-count victims and leave
+    in insertion order, so they queue in a ``deque``.  An entry touched
+    again since it queued moves into the eviction heap when the queue
+    reaches it, and the heap is read only once the queue holds no
+    once-touched resident.  Heap entries may lag their key's state (hits
+    only update the dict); a lagging top is refreshed in place, and the
+    first top equal to its key's state is the victim.  States only grow,
+    so that top is the minimum over every resident key.
     """
 
     name = "lfu"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
-        keys_list = _replay_input(keys, capacity_rows)
+        keys, capacity = _replay_input(keys, capacity_rows)
+        if keys.size <= capacity:
+            return _touches(keys)[0] >= 0
+        keys_list = keys.tolist()
         shift = len(keys_list).bit_length()
         pos_mask = (1 << shift) - 1
+        touched_twice = 2 << shift  # the least state of count 2
         flags = [False] * len(keys_list)
         state: dict[int, int] = {}
+        once: deque[int] = deque()
         heap: list[int] = []
         for i, key in enumerate(keys_list):
             entry = state.get(key)
@@ -158,19 +254,25 @@ class LfuPolicy:
                 # carrying into the count field, then add the new one.
                 state[key] = (entry | pos_mask) + 1 + i
                 continue
-            entry = state[key] = (1 << shift) | i
-            if len(heap) < capacity_rows:
-                heapq.heappush(heap, entry)
-                continue
-            while True:
-                top = heap[0]
-                victim = keys_list[top & pos_mask]
-                current = state[victim]
-                if current == top:
-                    break
-                heapq.heapreplace(heap, current)
-            del state[victim]
-            heapq.heapreplace(heap, entry)
+            if len(state) == capacity:
+                while once:
+                    victim = once.popleft()
+                    current = state[victim]
+                    if current < touched_twice:
+                        break
+                    heapq.heappush(heap, current)
+                else:
+                    while True:
+                        top = heap[0]
+                        victim = keys_list[top & pos_mask]
+                        current = state[victim]
+                        if current == top:
+                            break
+                        heapq.heapreplace(heap, current)
+                    heapq.heappop(heap)
+                del state[victim]
+            state[key] = (1 << shift) | i
+            once.append(key)
         return np.array(flags, dtype=bool)
 
 
@@ -182,12 +284,23 @@ class AdmitOnSecondTouchPolicy:
     capacity as the cache) and only a re-touch while still remembered
     admits the row.  Classic scan-resistant admission (TinyLFU-style
     doorkeeper).
+
+    A trace no longer than ``capacity_rows`` evicts from neither LRU, so
+    every third and later touch hits.  Longer traces replay through two
+    ``OrderedDict`` LRUs in recency order.
     """
 
     name = "admit-on-second-touch"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
-        keys_list = _replay_input(keys, capacity_rows)
+        keys, capacity = _replay_input(keys, capacity_rows)
+        if keys.size <= capacity:
+            prev = _touches(keys)[0]
+            repeat = prev >= 0
+            flags = np.zeros(keys.size, dtype=bool)
+            flags[repeat] = repeat[prev[repeat]]
+            return flags
+        keys_list = keys.tolist()
         flags = [False] * len(keys_list)
         cache: OrderedDict[int, None] = OrderedDict()
         ghost: OrderedDict[int, None] = OrderedDict()
@@ -200,11 +313,11 @@ class AdmitOnSecondTouchPolicy:
             if key in ghost:
                 del ghost[key]
                 cache[key] = None
-                if len(cache) > capacity_rows:
+                if len(cache) > capacity:
                     cache.popitem(last=False)
             else:
                 ghost[key] = None
-                if len(ghost) > capacity_rows:
+                if len(ghost) > capacity:
                     ghost.popitem(last=False)
         return np.array(flags, dtype=bool)
 
@@ -238,7 +351,12 @@ for _policy in DEFAULT_CACHE_POLICIES:
 
 @dataclass(frozen=True)
 class TierSpec:
-    """One storage tier: a name, a byte capacity, a per-lookup latency."""
+    """One storage tier: a name, a byte capacity, a per-lookup latency.
+
+    ``capacity_bytes`` must be a positive integer and ``access_ns`` a
+    positive, finite number; anything else raises ``ValueError`` naming
+    the tier and the field.
+    """
 
     name: str
     capacity_bytes: int
@@ -247,21 +365,23 @@ class TierSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a tier needs a non-empty name")
-        if self.capacity_bytes <= 0:
+        if not _is_count(self.capacity_bytes):
             raise ValueError(
-                f"{self.name}: capacity_bytes must be positive, "
+                f"{self.name}: capacity_bytes must be a positive integer, "
                 f"got {self.capacity_bytes}"
             )
-        if self.access_ns <= 0:
+        if not (math.isfinite(self.access_ns) and self.access_ns > 0):
             raise ValueError(
-                f"{self.name}: access_ns must be positive, "
+                f"{self.name}: access_ns must be positive and finite, "
                 f"got {self.access_ns}"
             )
 
     def capacity_rows(self, row_bytes: int) -> int:
         """Whole embedding rows this tier holds (floor division)."""
-        if row_bytes <= 0:
-            raise ValueError(f"row_bytes must be positive, got {row_bytes}")
+        if not _is_count(row_bytes):
+            raise ValueError(
+                f"row_bytes must be a positive integer, got {row_bytes}"
+            )
         return self.capacity_bytes // row_bytes
 
 
@@ -351,17 +471,19 @@ class TierHierarchy:
                 "tier access latencies must be strictly increasing "
                 f"fastest-first, got {latencies}"
             )
-        if self.row_bytes <= 0:
+        if not _is_count(self.row_bytes):
             raise ValueError(
-                f"row_bytes must be positive, got {self.row_bytes}"
+                f"row_bytes must be a positive integer, got {self.row_bytes}"
             )
-        if self.warm_accesses < 0:
+        if not _is_count(self.warm_accesses, 0):
             raise ValueError(
-                f"warm_accesses must be >= 0, got {self.warm_accesses}"
+                "warm_accesses must be an integer >= 0, "
+                f"got {self.warm_accesses}"
             )
-        if self.sim_queries <= 0:
+        if not _is_count(self.sim_queries):
             raise ValueError(
-                f"sim_queries must be positive, got {self.sim_queries}"
+                "sim_queries must be a positive integer, "
+                f"got {self.sim_queries}"
             )
         for tier in self.tiers[:-1]:
             if tier.capacity_rows(self.row_bytes) < 1:
@@ -411,6 +533,12 @@ class TierHierarchy:
                 ),
                 dtype=bool,
             )
+            if hit.shape != remaining_keys.shape:
+                raise ValueError(
+                    f"cache policy {policy.name!r} must return one hit "
+                    f"flag per key: got shape {hit.shape} for "
+                    f"{remaining_keys.size} keys"
+                )
             assigned[remaining_pos[hit]] = index
             remaining_keys = remaining_keys[~hit]
             remaining_pos = remaining_pos[~hit]

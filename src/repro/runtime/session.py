@@ -58,6 +58,11 @@ if TYPE_CHECKING:  # lazy at runtime: lab/capacity build on sessions
     from repro.telemetry import Telemetry
 
 
+def _is_integer(value: object) -> bool:
+    """True for an int or numpy integer; False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class ServingSurface:
     """The serving protocol shared by :class:`Session` and ``Cluster``.
 
@@ -118,8 +123,9 @@ class ServingSurface:
         over the deployed model's rows, or 8x the hot tier when no
         model is in reach), cascades them through the hierarchy's
         caches, and adds the resulting tier penalty to each query's
-        completion time.  ``lookups_per_query`` defaults to the model's
-        ``lookups_per_inference``.  ``serve(..., tier_warmup=0)`` serves
+        completion time.  ``lookups_per_query`` (a positive integer)
+        defaults to the model's ``lookups_per_inference``.
+        ``serve(..., tier_warmup=0)`` serves
         cold (fresh caches); the default pre-warms with the hierarchy's
         ``warm_accesses`` steady-state prefix.
         """
@@ -139,9 +145,9 @@ class ServingSurface:
             lookups_per_query = (
                 model.lookups_per_inference if model is not None else 1
             )
-        if lookups_per_query <= 0:
+        if not (_is_integer(lookups_per_query) and lookups_per_query > 0):
             raise ValueError(
-                f"lookups_per_query must be positive, "
+                "lookups_per_query must be a positive integer, "
                 f"got {lookups_per_query}"
             )
         self.tier_hierarchy = hierarchy
@@ -300,11 +306,12 @@ class ServingSurface:
         backends and clusters.
 
         With a tier hierarchy attached (:meth:`attach_tiers`), the
-        optional ``tier_warmup`` knob sets how many steady-state
-        accesses pre-warm the caches before the stream: ``0`` serves
-        cold (a freshly provisioned node), the default ``None`` uses
-        the hierarchy's ``warm_accesses`` (warm steady state).  Each
-        query's completion then carries its simulated tier penalty.
+        optional ``tier_warmup`` knob (an integer >= 0) sets how many
+        steady-state accesses pre-warm the caches before the stream:
+        ``0`` serves cold (a freshly provisioned node), the default
+        ``None`` uses the hierarchy's ``warm_accesses`` (warm steady
+        state).  Each query's completion then carries its simulated
+        tier penalty.
 
         The ``telemetry`` knob controls observation: the default
         ``None`` populates this surface's own :attr:`telemetry` hub
@@ -317,11 +324,17 @@ class ServingSurface:
         """
         telemetry = server_knobs.pop("telemetry", None)
         tier_warmup = server_knobs.pop("tier_warmup", None)
-        if tier_warmup is not None and self.tier_hierarchy is None:
-            raise TypeError(
-                f"{self.backend}: tier_warmup requires an attached "
-                "tier hierarchy (attach_tiers)"
-            )
+        if tier_warmup is not None:
+            if self.tier_hierarchy is None:
+                raise TypeError(
+                    f"{self.backend}: tier_warmup requires an attached "
+                    "tier hierarchy (attach_tiers)"
+                )
+            if not (_is_integer(tier_warmup) and tier_warmup >= 0):
+                raise ValueError(
+                    "tier_warmup must be an integer >= 0, "
+                    f"got {tier_warmup}"
+                )
         arrivals = np.asarray(arrivals_ns, dtype=np.float64)
         if arrivals.size == 0:
             raise ValueError(
@@ -342,10 +355,6 @@ class ServingSurface:
                 if tier_warmup is None
                 else int(tier_warmup)
             )
-            if warmup < 0:
-                raise ValueError(
-                    f"tier_warmup must be >= 0, got {warmup}"
-                )
             # The cluster path sorts internally; align penalties with
             # the stream the result actually reports.
             tier_penalty, tier_lookups = self._tier_penalty(

@@ -1,5 +1,6 @@
 """Tests for the tiered-storage layer: policies, hierarchy, popularity."""
 
+import heapq
 import zlib
 from collections import OrderedDict
 
@@ -15,6 +16,7 @@ from repro.memory.tiers import (
     TierHierarchy,
     TierSpec,
     UnknownCachePolicyError,
+    _touches,
     available_cache_policies,
     default_tier_hierarchy,
     get_cache_policy,
@@ -88,6 +90,27 @@ class TestPolicyRegistry:
         finally:
             del tiers_module._REGISTRY.entries["test-always-miss"]
 
+    def test_plugin_must_flag_every_key(self):
+        from repro.memory import tiers as tiers_module
+
+        class ThreeFlags:
+            name = "test-three-flags"
+
+            def hits(self, keys, capacity_rows):
+                return np.zeros(3, dtype=bool)
+
+        register_cache_policy(ThreeFlags())
+        try:
+            hierarchy = two_tiers(policy="test-three-flags")
+            with pytest.raises(
+                ValueError,
+                match="'test-three-flags' must return one hit flag per "
+                r"key: got shape \(3,\) for 10 keys",
+            ):
+                hierarchy.simulate(np.arange(10))
+        finally:
+            del tiers_module._REGISTRY.entries["test-three-flags"]
+
 
 class TestPolicies:
     def test_lru_hand_trace(self):
@@ -126,6 +149,26 @@ class TestPolicies:
     def test_capacity_validation(self, name):
         with pytest.raises(ValueError, match="capacity_rows"):
             get_cache_policy(name).hits(np.array([1]), 0)
+
+    @pytest.mark.parametrize(
+        "capacity",
+        [float("nan"), float("inf"), 1.5, 2.0, True, np.True_, -1, "3"],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("name", ["lru", "lfu", "admit-on-second-touch"])
+    def test_capacity_must_be_a_positive_integer(self, name, capacity):
+        with pytest.raises(
+            ValueError, match="capacity_rows must be a positive integer"
+        ):
+            get_cache_policy(name).hits(np.array([1, 2, 1, 3, 1]), capacity)
+
+    @pytest.mark.parametrize("name", ["lru", "lfu", "admit-on-second-touch"])
+    def test_numpy_integer_capacity_equals_int(self, name):
+        keys = np.random.default_rng(4).integers(0, 40, size=500)
+        policy = get_cache_policy(name)
+        expected = policy.hits(keys, 7)
+        for capacity in (np.int64(7), np.int32(7), np.uint16(7)):
+            assert np.array_equal(policy.hits(keys, capacity), expected)
 
     @pytest.mark.parametrize("name", ["lru", "lfu", "admit-on-second-touch"])
     def test_deterministic_replay(self, name):
@@ -192,7 +235,120 @@ def _reference_lfu(keys: np.ndarray, capacity_rows: int) -> np.ndarray:
     return out
 
 
-ORACLES = {"lru": _stack_distance_lru, "lfu": _reference_lfu}
+def _reference_replay_input(keys: np.ndarray, capacity_rows: int) -> list[int]:
+    """Validate a replay's capacity and return its keys as Python ints."""
+    if capacity_rows <= 0:
+        raise ValueError(
+            f"capacity_rows must be positive, got {capacity_rows}"
+        )
+    return np.asarray(keys, dtype=np.int64).ravel().tolist()
+
+
+def _reference_lru(keys: np.ndarray, capacity_rows: int) -> np.ndarray:
+    """The ``OrderedDict`` LRU the reuse-distance replay replaced, verbatim."""
+    keys_list = _reference_replay_input(keys, capacity_rows)
+    flags = [False] * len(keys_list)
+    cache: OrderedDict[int, None] = OrderedDict()
+    touch, evict = cache.move_to_end, cache.popitem
+    for i, key in enumerate(keys_list):
+        if key in cache:
+            touch(key)
+            flags[i] = True
+            continue
+        cache[key] = None
+        if len(cache) > capacity_rows:
+            evict(False)
+    return np.array(flags, dtype=bool)
+
+
+def _reference_lfu_heap(keys: np.ndarray, capacity_rows: int) -> np.ndarray:
+    """The all-heap LFU the once-touched queue replaced, verbatim."""
+    keys_list = _reference_replay_input(keys, capacity_rows)
+    shift = len(keys_list).bit_length()
+    pos_mask = (1 << shift) - 1
+    flags = [False] * len(keys_list)
+    state: dict[int, int] = {}
+    heap: list[int] = []
+    for i, key in enumerate(keys_list):
+        entry = state.get(key)
+        if entry is not None:
+            flags[i] = True
+            # count + 1, position i: clear the old position bits by
+            # carrying into the count field, then add the new one.
+            state[key] = (entry | pos_mask) + 1 + i
+            continue
+        entry = state[key] = (1 << shift) | i
+        if len(heap) < capacity_rows:
+            heapq.heappush(heap, entry)
+            continue
+        while True:
+            top = heap[0]
+            victim = keys_list[top & pos_mask]
+            current = state[victim]
+            if current == top:
+                break
+            heapq.heapreplace(heap, current)
+        del state[victim]
+        heapq.heapreplace(heap, entry)
+    return np.array(flags, dtype=bool)
+
+
+def _reference_admit_on_second_touch(
+    keys: np.ndarray, capacity_rows: int
+) -> np.ndarray:
+    """The ``OrderedDict`` cache-behind-a-ghost loop, for every trace."""
+    keys_list = _reference_replay_input(keys, capacity_rows)
+    flags = [False] * len(keys_list)
+    cache: OrderedDict[int, None] = OrderedDict()
+    ghost: OrderedDict[int, None] = OrderedDict()
+    touch = cache.move_to_end
+    for i, key in enumerate(keys_list):
+        if key in cache:
+            touch(key)
+            flags[i] = True
+            continue
+        if key in ghost:
+            del ghost[key]
+            cache[key] = None
+            if len(cache) > capacity_rows:
+                cache.popitem(last=False)
+        else:
+            ghost[key] = None
+            if len(ghost) > capacity_rows:
+                ghost.popitem(last=False)
+    return np.array(flags, dtype=bool)
+
+
+#: The loops each policy's replay replaced: the flags must not move.
+ORACLES = {
+    "lru": _reference_lru,
+    "lfu": _reference_lfu_heap,
+    "admit-on-second-touch": _reference_admit_on_second_touch,
+}
+
+#: Independent definitions, checked alongside where one exists.
+DEFINITIONS = {"lru": _stack_distance_lru, "lfu": _reference_lfu}
+
+
+def _assert_matches_oracles(name, keys, capacity):
+    got = get_cache_policy(name).hits(keys, capacity)
+    assert got.dtype == bool and got.shape == keys.shape
+    for oracle in (ORACLES[name], DEFINITIONS.get(name)):
+        if oracle is not None:
+            assert np.array_equal(got, oracle(keys, capacity)), (
+                oracle.__name__,
+                keys.tolist() if keys.size <= 100 else keys.size,
+                capacity,
+            )
+
+
+def _build_trace(size=450_560):
+    """As long as the trace one tiered-zipf build replays: 65,536
+    warm-up accesses and 8,192 queries of 47 lookups over the small
+    model at --max-rows 4096 (143,442 rows), under Zipf(1.05)."""
+    return PopularityModel(rows=143_442, alpha=1.05).sample(
+        np.random.default_rng(7), size
+    )
 
 
 def _small_traces(count=3000, seed=11):
@@ -207,18 +363,13 @@ def _small_traces(count=3000, seed=11):
 
 
 class TestPolicyExactness:
-    """Each one-pass replay against an independent oracle."""
+    """Each replay against the loop it replaced and, where one exists,
+    an independent definition of the policy."""
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_small_traces_match_oracle(self, name):
-        policy, oracle = get_cache_policy(name), ORACLES[name]
         for keys, capacity in _small_traces():
-            got = policy.hits(keys, capacity)
-            assert got.dtype == bool and got.shape == keys.shape
-            assert np.array_equal(got, oracle(keys, capacity)), (
-                keys.tolist(),
-                capacity,
-            )
+            _assert_matches_oracles(name, keys, capacity)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_zipf_trace_at_hot_tier_capacity_matches_oracle(self, name):
@@ -227,8 +378,97 @@ class TestPolicyExactness:
         # distinct keys, so the hot tier evicts.
         keys = zipf_indices(np.random.default_rng(3), 143_442, 100_000, 1.05)
         assert np.unique(keys).size > 17_930
-        got = get_cache_policy(name).hits(keys, 17_930)
-        assert np.array_equal(got, ORACLES[name](keys, 17_930))
+        _assert_matches_oracles(name, keys, 17_930)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_build_trace_cascade_matches_oracle(self, name):
+        # Hot tier (17,930 rows) evicts; the DDR tier (71,721 rows) sees
+        # more keys than it holds but no more distinct ones than it holds.
+        hierarchy = scaled_tier_hierarchy(143_442, policy=name)
+        hot, ddr = hierarchy.capacity_rows()[:2]
+        keys = _build_trace()
+        hot_hits = ORACLES[name](keys, hot)
+        misses = keys[~hot_hits]
+        assert misses.size > ddr >= np.unique(misses).size
+        ddr_hits = ORACLES[name](misses, ddr)
+        expected = np.full(keys.size, 2)
+        expected[hot_hits] = 0
+        expected[np.flatnonzero(~hot_hits)[ddr_hits]] = 1
+        assert np.array_equal(hierarchy.assign_tiers(keys), expected)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_ddr_miss_stream_that_cannot_evict_matches_oracle(self, name):
+        # A serve-sized stream: the hot tier's misses fit the DDR tier,
+        # so every policy answers it in one vectorised pass.
+        hierarchy = scaled_tier_hierarchy(143_442, policy=name)
+        hot, ddr = hierarchy.capacity_rows()[:2]
+        keys = _build_trace(120_000)
+        misses = keys[~ORACLES[name](keys, hot)]
+        assert 0 < misses.size <= ddr
+        _assert_matches_oracles(name, misses, ddr)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_capacity_at_the_no_eviction_boundaries(self, name):
+        # lru takes its loop only past the distinct-key count, lfu and
+        # admit-on-second-touch only past the trace length: test each
+        # boundary from both sides.
+        keys = zipf_indices(np.random.default_rng(8), 3_000, 6_000, 0.9)
+        distinct = np.unique(keys).size
+        assert distinct < keys.size
+        for capacity in (distinct - 1, distinct, keys.size - 1, keys.size):
+            _assert_matches_oracles(name, keys, capacity)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize(
+        "offset", [-(2**40), -5, 2**40, 2**62, np.iinfo(np.int64).max - 20]
+    )
+    def test_keys_outside_the_packable_range_match_oracle(self, name, offset):
+        # Negative keys, and keys too wide to share 63 bits with a
+        # position (2**62 and up), take the stable argsort in place of
+        # the packed sort; 2**40 still packs beside these positions.
+        traces = list(_small_traces(count=300, seed=offset % 1_000))
+        zipf = zipf_indices(np.random.default_rng(9), 20_000, 30_000, 1.05)
+        traces += [(zipf, 1_000), (zipf, 10_000), (zipf, 30_000)]
+        for keys, capacity in traces:
+            shifted = keys.astype(np.int64) + np.int64(offset)
+            assert np.array_equal(
+                get_cache_policy(name).hits(shifted, capacity),
+                ORACLES[name](shifted, capacity),
+            )
+
+    def test_touches_match_a_dict_scan(self):
+        rng = np.random.default_rng(12)
+        for offset in (0, 2**40, -(2**40), 2**62):
+            for _ in range(200):
+                keys = rng.integers(0, 20, size=int(rng.integers(0, 60)))
+                keys = keys + np.int64(offset)
+                prev, following = _touches(keys)
+                assert prev.dtype == following.dtype == np.int32
+                expected_prev = np.full(keys.size, -1)
+                expected_next = np.full(keys.size, keys.size)
+                last: dict[int, int] = {}
+                for i, key in enumerate(keys.tolist()):
+                    if key in last:
+                        expected_prev[i] = last[key]
+                        expected_next[last[key]] = i
+                    last[key] = i
+                assert np.array_equal(prev, expected_prev)
+                assert np.array_equal(following, expected_next)
+
+    def test_lru_inclusion_property(self):
+        # A bigger LRU holds a superset of a smaller one's keys, so a
+        # hit at capacity C is a hit at C + 1, access by access.
+        lru = get_cache_policy("lru")
+        traces = [keys for keys, _ in _small_traces(count=300, seed=13)]
+        traces.append(
+            zipf_indices(np.random.default_rng(14), 5_000, 40_000, 1.05)
+        )
+        for keys in traces:
+            smaller = lru.hits(keys, 1)
+            for capacity in (2, 3, 5, 8, 13, 64, 512, 1_024, 4_096):
+                larger = lru.hits(keys, capacity)
+                assert not np.any(smaller & ~larger), capacity
+                smaller = larger
 
     #: (hit count, CRC-32 of the packed flags) on the trace below,
     #: recorded from the implementations these replays replaced.
@@ -257,6 +497,36 @@ class TestTierSpec:
         with pytest.raises(ValueError, match="access_ns"):
             TierSpec("hbm", 1024, 0.0)
 
+    @pytest.mark.parametrize(
+        "capacity",
+        [1024.7, 1024.0, True, float("nan"), float("inf"), -128],
+        ids=repr,
+    )
+    def test_capacity_bytes_must_be_a_positive_integer(self, capacity):
+        with pytest.raises(
+            ValueError, match="hbm: capacity_bytes must be a positive integer"
+        ):
+            TierSpec("hbm", capacity, 10.0)
+
+    @pytest.mark.parametrize(
+        "access_ns", [float("nan"), float("inf"), -float("inf"), -1.0]
+    )
+    def test_access_ns_must_be_positive_and_finite(self, access_ns):
+        with pytest.raises(
+            ValueError, match="ddr: access_ns must be positive and finite"
+        ):
+            TierSpec("ddr", 1 << 20, access_ns)
+
+    def test_a_nan_latency_fails_before_any_hierarchy_exists(self):
+        # A NaN passes TierHierarchy's strictly-increasing check, so the
+        # tier itself has to refuse it.
+        with pytest.raises(ValueError, match="host: access_ns"):
+            scaled_tier_hierarchy(1_000, host_access_ns=float("nan"))
+
+    def test_numpy_integer_capacity_bytes_accepted(self):
+        tier = TierSpec("hbm", np.int64(1024), 10.0)
+        assert tier.capacity_rows(128) == 8
+
     def test_capacity_bytes_to_rows_conversion(self):
         tier = TierSpec("hbm", 1000, 10.0)
         assert tier.capacity_rows(100) == 10
@@ -264,6 +534,8 @@ class TestTierSpec:
         assert tier.capacity_rows(1001) == 0
         with pytest.raises(ValueError, match="row_bytes"):
             tier.capacity_rows(0)
+        with pytest.raises(ValueError, match="row_bytes"):
+            tier.capacity_rows(128.5)
 
 
 class TestTierHierarchy:
@@ -290,6 +562,37 @@ class TestTierHierarchy:
             two_tiers(warm_accesses=-1)
         with pytest.raises(ValueError, match="sim_queries"):
             two_tiers(sim_queries=0)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("row_bytes", 16.5, "row_bytes must be a positive integer"),
+            ("row_bytes", True, "row_bytes must be a positive integer"),
+            ("warm_accesses", 2.5, "warm_accesses must be an integer >= 0"),
+            (
+                "warm_accesses",
+                float("nan"),
+                "warm_accesses must be an integer >= 0",
+            ),
+            ("warm_accesses", False, "warm_accesses must be an integer >= 0"),
+            ("sim_queries", 2.5, "sim_queries must be a positive integer"),
+            (
+                "sim_queries",
+                float("inf"),
+                "sim_queries must be a positive integer",
+            ),
+        ],
+    )
+    def test_integer_fields_reject_other_numbers(self, field, value, message):
+        knobs = {"row_bytes": 16, field: value}
+        with pytest.raises(ValueError, match=message):
+            TierHierarchy(
+                tiers=(
+                    TierSpec("hot", 64, 10.0),
+                    TierSpec("cold", 1 << 30, 100.0),
+                ),
+                **knobs,
+            )
 
     def test_cascade_serves_every_access_exactly_once(self):
         hierarchy = two_tiers(capacity_rows=2)

@@ -108,6 +108,28 @@ class TestAttachTiers:
                 scaled_tier_hierarchy(rows), lookups_per_query=0
             )
 
+    @pytest.mark.parametrize(
+        "value", [-3, 2.5, True, float("nan"), float("inf")]
+    )
+    def test_non_integer_lookups_per_query_rejected(self, value):
+        session = fresh_session()
+        rows = sum(t.rows for t in session.model.tables)
+        with pytest.raises(
+            ValueError, match="lookups_per_query must be a positive integer"
+        ):
+            session.attach_tiers(
+                scaled_tier_hierarchy(rows), lookups_per_query=value
+            )
+        assert session.tier_hierarchy is None
+
+    def test_numpy_integer_lookups_per_query_accepted(self):
+        session = fresh_session()
+        rows = sum(t.rows for t in session.model.tables)
+        session.attach_tiers(
+            scaled_tier_hierarchy(rows), lookups_per_query=np.int64(3)
+        )
+        assert session.perf().memory.lookups_per_query == 3
+
 
 class TestTieredServe:
     def test_repeated_serves_are_byte_identical(self):
@@ -137,6 +159,24 @@ class TestTieredServe:
         session = tiered_session()
         with pytest.raises(ValueError, match="tier_warmup"):
             session.serve(arrivals_for(session), tier_warmup=-1)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_non_integer_warmup_rejected(self, value):
+        session = tiered_session()
+        with pytest.raises(
+            ValueError, match="tier_warmup must be an integer >= 0"
+        ):
+            session.serve(arrivals_for(session), tier_warmup=value)
+
+    def test_numpy_integer_warmup_equals_int(self):
+        session = tiered_session()
+        arrivals = arrivals_for(session)
+        np.testing.assert_array_equal(
+            session.serve(arrivals, tier_warmup=np.int64(64)).completions_ns,
+            session.serve(arrivals, tier_warmup=64).completions_ns,
+        )
 
     def test_tier_penalty_only_ever_delays(self):
         session = tiered_session()
