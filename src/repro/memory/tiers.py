@@ -16,20 +16,30 @@ This module makes hot-row caching a first-class layer:
   resolves names and raises :class:`UnknownCachePolicyError` with the
   registered names on a typo.
 
-A replay costs what its evictions cost.  A trace that cannot evict (no
-more distinct keys than ``capacity_rows`` for ``lru``, no more keys than
-it for ``lfu`` and ``admit-on-second-touch``) is answered in one
+A replay costs what its evictions cost.  A trace with no more distinct
+keys than ``capacity_rows`` cannot evict, and is answered in one
 vectorised pass from each access's previous touch, found with one packed
 ``np.sort``: every repeat hits under ``lru`` and ``lfu``, every third and
 later touch under ``admit-on-second-touch``.  Otherwise ``lru`` marks
 every reuse within ``capacity_rows`` accesses as a hit unvisited and
-loops over the rest, tracking only the latest victim's position; ``lfu``
-loops over every key, queueing once-touched residents in a ``deque`` in
-front of a lazily refreshed heap of packed (count, last position) ints;
-and ``admit-on-second-touch`` runs an ``OrderedDict`` LRU behind a ghost
-LRU of keys seen once.  Every hit flag equals the one the plain
-per-key replay gives (``tests/test_memory_tiers.py`` keeps those loops as
-its oracles).
+loops over the rest, tracking only the latest victim's position.
+
+``lfu`` and ``admit-on-second-touch`` first count the trace's distinct
+keys and its repeated ones (touched at least twice), with one
+``np.bincount`` for dense keys.  When few keys repeat (fewer than
+``capacity_rows`` for ``lfu``, at most that many for
+``admit-on-second-touch``), a twice-touched key is never evicted from
+the cache, and each policy is a FIFO of keys touched once in which a
+re-touch promotes the key: ``lfu``'s cache keeps it, the admission
+ghost lets it go.  Both replay through one kernel that visits only first
+touches and the touch after each miss (2Q's FIFO-then-promote, Johnson
+& Shasha 1994).  When more keys repeat, ``lfu`` loops over every key,
+queueing once-touched residents in a ``deque`` in front of a lazily
+refreshed heap of packed (count, last position) ints, and
+``admit-on-second-touch`` runs an ``OrderedDict`` LRU behind a ghost LRU
+of keys seen once.  Every hit flag equals the one the plain per-key
+replay gives (``tests/test_memory_tiers.py`` keeps those loops as its
+oracles).
 
 Everything above this layer (``PerfEstimate``, the serving surfaces, the
 autoscaler, the bench) consumes :class:`TierHierarchy` through
@@ -160,6 +170,90 @@ def _touches(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prev, following
 
 
+#: Keys below this multiple of the trace length are counted by bincount,
+#: whose table then costs at most 64 bytes per access.
+_DENSE_KEYS = 8
+
+
+def _key_counts(keys: np.ndarray) -> tuple[int, int]:
+    """How many distinct keys a trace touches, and how many of them twice.
+
+    One ``np.bincount`` when the keys are non-negative and below
+    :data:`_DENSE_KEYS` times the trace length; a sort otherwise.
+    """
+    n = keys.size
+    if n and keys.min() >= 0 and int(keys.max()) < _DENSE_KEYS * n:
+        counts = np.bincount(keys)
+    else:
+        counts = np.unique(keys, return_counts=True)[1]
+    return int(np.count_nonzero(counts)), int(np.count_nonzero(counts > 1))
+
+
+def _fifo_with_promotion(
+    prev: np.ndarray,
+    following: np.ndarray,
+    capacity: int,
+    *,
+    frees_slot: bool,
+) -> list[int]:
+    """Miss positions of a FIFO cache whose re-touched keys are promoted.
+
+    ``prev`` and ``following`` come from :func:`_touches`.  Each miss
+    queues its key at the FIFO's tail, first evicting the head when all
+    ``capacity`` slots are taken.  The key's next touch finds it either
+    evicted, a miss that queues it again, or still queued: it is then
+    promoted out of the FIFO for good, keeping its slot, or giving it
+    back with ``frees_slot``.  Later touches of a promoted key are left
+    unvisited, so the loop visits only first touches, the touch after
+    each, and the touch after each re-miss, which waits in a heap.
+    Victims leave in queueing order, so, as in :meth:`LruPolicy.hits`,
+    only the latest victim's position is kept: a key is still queued iff
+    its last miss is later, and each victim is the earliest miss past it
+    whose key has not been touched since.  The caller must make sure a
+    queued key is there whenever a slot is needed.
+    """
+    n = prev.size
+    first = np.flatnonzero(prev < 0)
+    visit = np.zeros(n, dtype=bool)
+    visit[first] = True
+    after = following[first]
+    visit[after[after < n]] = True
+    events = np.flatnonzero(visit).tolist()
+    events.append(n)  # sentinel: the pending heap drains before it
+    prev_at, next_at = memoryview(prev), memoryview(following)
+    release = 1 if frees_slot else 0
+    misses: list[int] = []
+    pending: list[int] = []  # the touch after each re-miss
+    evicted = -1  # last miss of the latest victim
+    used = 0
+    j = k = 0
+    while True:
+        i = events[k]
+        if pending and pending[0] < i:
+            i = heapq.heappop(pending)
+        elif i < n:
+            k += 1
+        else:
+            break
+        p = prev_at[i]
+        if p > evicted:  # still queued: promote
+            used -= release
+            continue
+        if p >= 0:  # evicted since its last miss: queue it again
+            q = next_at[i]
+            if q < n:
+                heapq.heappush(pending, q)
+        if used == capacity:
+            while next_at[misses[j]] <= i:
+                j += 1
+            evicted = misses[j]
+            j += 1
+        else:
+            used += 1
+        misses.append(i)
+    return misses
+
+
 class LruPolicy:
     """Least-recently-used with insert-on-miss.
 
@@ -217,27 +311,45 @@ class LfuPolicy:
     """Least-frequently-used, LRU within a frequency class.
 
     Evicts the least recently touched key of the lowest access count; an
-    evicted key forgets its count (no ghost history).  Each resident
-    key's state is one int packing ``(count << shift) | position`` of its
-    last access, so ordering states orders victims.  A trace no longer
-    than ``capacity_rows`` cannot evict, so every repeat hits.
+    evicted key forgets its count (no ghost history).  A trace with no
+    more distinct keys than ``capacity_rows`` cannot evict, so every
+    repeat hits.
 
-    Residents touched once are always the lowest-count victims and leave
-    in insertion order, so they queue in a ``deque``.  An entry touched
-    again since it queued moves into the eviction heap when the queue
-    reaches it, and the heap is read only once the queue holds no
-    once-touched resident.  Heap entries may lag their key's state (hits
-    only update the dict); a lagging top is refreshed in place, and the
-    first top equal to its key's state is the victim.  States only grow,
-    so that top is the minimum over every resident key.
+    With fewer than ``capacity_rows`` keys touched twice or more in the
+    whole trace, a full cache always holds a key touched once since it
+    came in, so every victim is such a key, the first of them to come
+    in, and a resident touched twice is never evicted.  The replay is
+    then a FIFO whose re-touched keys are promoted and keep their slot
+    (:func:`_fifo_with_promotion`).  The bound is strict: with as many
+    repeated keys as rows, every resident may have been touched twice.
+
+    Otherwise a loop replays every key.  Each resident key's state is
+    one int packing ``(count << shift) | position`` of its last access,
+    so ordering states orders victims.  Residents touched once are
+    always the lowest-count victims and leave in insertion order, so
+    they queue in a ``deque``.  An entry touched again since it queued
+    moves into the eviction heap when the queue reaches it, and the heap
+    is read only once the queue holds no once-touched resident.  Heap
+    entries may lag their key's state (hits only update the dict); a
+    lagging top is refreshed in place, and the first top equal to its
+    key's state is the victim.  States only grow, so that top is the
+    minimum over every resident key.
     """
 
     name = "lfu"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
         keys, capacity = _replay_input(keys, capacity_rows)
-        if keys.size <= capacity:
+        distinct, repeated = _key_counts(keys)
+        if distinct <= capacity:
             return _touches(keys)[0] >= 0
+        if repeated < capacity:
+            misses = _fifo_with_promotion(
+                *_touches(keys), capacity, frees_slot=False
+            )
+            flags = np.ones(keys.size, dtype=bool)
+            flags[misses] = False
+            return flags
         keys_list = keys.tolist()
         shift = len(keys_list).bit_length()
         pos_mask = (1 << shift) - 1
@@ -285,20 +397,40 @@ class AdmitOnSecondTouchPolicy:
     admits the row.  Classic scan-resistant admission (TinyLFU-style
     doorkeeper).
 
-    A trace no longer than ``capacity_rows`` evicts from neither LRU, so
-    every third and later touch hits.  Longer traces replay through two
-    ``OrderedDict`` LRUs in recency order.
+    A trace with no more distinct keys than ``capacity_rows`` evicts
+    from neither LRU, so every third and later touch hits.  With at most
+    ``capacity_rows`` keys touched twice or more in the whole trace, the
+    cache holds only admitted keys, each touched twice, so it never
+    evicts and every touch after an admission hits.  The ghost, whose
+    keys are never touched in place, is then a FIFO that admission
+    empties (:func:`_fifo_with_promotion`, the promoted key freeing its
+    slot), and the touch after each of its misses is a miss too: an
+    admission or a re-queue.  Traces with more repeated keys replay
+    through two ``OrderedDict`` LRUs in recency order.
     """
 
     name = "admit-on-second-touch"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
         keys, capacity = _replay_input(keys, capacity_rows)
-        if keys.size <= capacity:
+        distinct, repeated = _key_counts(keys)
+        if distinct <= capacity:
             prev = _touches(keys)[0]
             repeat = prev >= 0
             flags = np.zeros(keys.size, dtype=bool)
             flags[repeat] = repeat[prev[repeat]]
+            return flags
+        if repeated <= capacity:
+            prev, following = _touches(keys)
+            misses = np.array(
+                _fifo_with_promotion(
+                    prev, following, capacity, frees_slot=True
+                )
+            )
+            retouched = following[misses]
+            flags = np.ones(keys.size, dtype=bool)
+            flags[misses] = False
+            flags[retouched[retouched < keys.size]] = False
             return flags
         keys_list = keys.tolist()
         flags = [False] * len(keys_list)

@@ -761,9 +761,7 @@ class ModeledSession(Session):
         serving_batch: int,
         usd_per_hour: float,
     ):
-        if not (
-            isinstance(serving_batch, numbers.Integral) and serving_batch > 0
-        ):
+        if not (_is_integer(serving_batch) and serving_batch > 0):
             raise ValueError(
                 "serving_batch must be a positive integer, "
                 f"got {serving_batch}"

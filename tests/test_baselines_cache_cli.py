@@ -145,7 +145,8 @@ class TestCli:
         from repro._version import __version__
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        setup_text = open(os.path.join(root, "setup.py")).read()
+        with open(os.path.join(root, "setup.py")) as setup_file:
+            setup_text = setup_file.read()
         # setup.py must source its version from _version.py, not pin one.
         assert "_version.py" in setup_text
         assert not re.search(r'version\s*=\s*"[0-9]', setup_text)

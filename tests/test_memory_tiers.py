@@ -3,6 +3,7 @@
 import heapq
 import zlib
 from collections import OrderedDict
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from repro.memory.tiers import (
     TierHierarchy,
     TierSpec,
     UnknownCachePolicyError,
+    _DENSE_KEYS,
+    _key_counts,
     _touches,
     available_cache_policies,
     default_tier_hierarchy,
@@ -342,10 +345,11 @@ def _assert_matches_oracles(name, keys, capacity):
             )
 
 
-def _build_trace(size=450_560):
-    """As long as the trace one tiered-zipf build replays: 65,536
-    warm-up accesses and 8,192 queries of 47 lookups over the small
-    model at --max-rows 4096 (143,442 rows), under Zipf(1.05)."""
+def _tiered_zipf_trace(size=450_560):
+    """Keys as tiered-zipf replays them: Zipf(1.05) over the small model
+    at --max-rows 4096 (143,442 rows).  A build replays 450,560 (65,536
+    warm-up accesses and 8,192 queries of 47 lookups), a serve op about
+    170,000 cold or 240,000 behind the same warm-up."""
     return PopularityModel(rows=143_442, alpha=1.05).sample(
         np.random.default_rng(7), size
     )
@@ -360,6 +364,34 @@ def _small_traces(count=3000, seed=11):
         capacity = int(rng.integers(1, 13))
         length = int(rng.integers(0, 81))
         yield rng.integers(0, universe, size=length), capacity
+
+
+def _repeat_traces(excess, count=400, seed=15):
+    """Seeded (keys, capacity) pairs whose repeated keys (touched twice
+    or more) number ``capacity + excess``, with more distinct keys than
+    ``capacity`` so that every trace evicts.
+
+    The first is the worst case for a FIFO of once-touched keys: every
+    repeated key touched twice in a row before any singleton arrives.
+    """
+    capacity = 3
+    repeated = capacity + excess
+    keys = np.repeat(np.arange(repeated), 2)
+    singles = np.arange(repeated, repeated + 4)
+    yield np.concatenate([keys, singles, keys]), capacity
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        capacity = int(rng.integers(1, 13))
+        repeated = capacity + excess
+        singles = int(rng.integers(max(1, 1 - excess), 2 * capacity + 2))
+        touches = rng.integers(2, 6, size=repeated)
+        keys = np.concatenate(
+            [
+                np.repeat(np.arange(repeated), touches),
+                np.arange(repeated, repeated + singles),
+            ]
+        )
+        yield rng.permutation(keys), capacity
 
 
 class TestPolicyExactness:
@@ -383,10 +415,11 @@ class TestPolicyExactness:
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_build_trace_cascade_matches_oracle(self, name):
         # Hot tier (17,930 rows) evicts; the DDR tier (71,721 rows) sees
-        # more keys than it holds but no more distinct ones than it holds.
+        # more keys than it holds but no more distinct ones, so every
+        # policy answers it in one pass.
         hierarchy = scaled_tier_hierarchy(143_442, policy=name)
         hot, ddr = hierarchy.capacity_rows()[:2]
-        keys = _build_trace()
+        keys = _tiered_zipf_trace()
         hot_hits = ORACLES[name](keys, hot)
         misses = keys[~hot_hits]
         assert misses.size > ddr >= np.unique(misses).size
@@ -402,21 +435,51 @@ class TestPolicyExactness:
         # so every policy answers it in one vectorised pass.
         hierarchy = scaled_tier_hierarchy(143_442, policy=name)
         hot, ddr = hierarchy.capacity_rows()[:2]
-        keys = _build_trace(120_000)
+        keys = _tiered_zipf_trace(120_000)
         misses = keys[~ORACLES[name](keys, hot)]
         assert 0 < misses.size <= ddr
         _assert_matches_oracles(name, misses, ddr)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_capacity_at_the_no_eviction_boundaries(self, name):
-        # lru takes its loop only past the distinct-key count, lfu and
-        # admit-on-second-touch only past the trace length: test each
-        # boundary from both sides.
+        # Every policy answers in one pass up to the distinct-key count.
+        # Past it lfu replays a FIFO while fewer keys repeat than the
+        # cache holds, admit-on-second-touch while no more do, and both
+        # loop otherwise: test each boundary from both sides.
         keys = zipf_indices(np.random.default_rng(8), 3_000, 6_000, 0.9)
-        distinct = np.unique(keys).size
-        assert distinct < keys.size
-        for capacity in (distinct - 1, distinct, keys.size - 1, keys.size):
+        distinct, repeated = _key_counts(keys)
+        assert repeated + 1 < distinct - 1
+        for capacity in (
+            repeated - 1,
+            repeated,
+            repeated + 1,
+            distinct - 1,
+            distinct,
+        ):
             _assert_matches_oracles(name, keys, capacity)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("excess", [-1, 0, 1])
+    def test_repeated_keys_around_capacity_match_oracle(self, name, excess):
+        # One repeated key fewer than the cache holds, as many, and one
+        # more, on traces that always evict: at as many, lfu must loop
+        # (every resident may be touched twice) and admit-on-second-touch
+        # may still replay the FIFO (it caches only repeated keys).
+        for keys, capacity in _repeat_traces(excess):
+            distinct, repeated = _key_counts(keys)
+            assert repeated == capacity + excess and distinct > capacity
+            _assert_matches_oracles(name, keys, capacity)
+
+    @pytest.mark.parametrize("name", ["admit-on-second-touch", "lfu"])
+    @pytest.mark.parametrize("size", [170_000, 240_000])
+    def test_serve_op_traces_match_oracle(self, name, size):
+        # A cold and a warm serve op's hot-tier trace: more distinct keys
+        # than the 17,930 hot rows and fewer repeated ones, so lfu and
+        # admit-on-second-touch both replay the FIFO.
+        keys = _tiered_zipf_trace(size)
+        distinct, repeated = _key_counts(keys)
+        assert repeated < 17_930 < distinct
+        _assert_matches_oracles(name, keys, 17_930)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     @pytest.mark.parametrize(
@@ -426,14 +489,37 @@ class TestPolicyExactness:
         # Negative keys, and keys too wide to share 63 bits with a
         # position (2**62 and up), take the stable argsort in place of
         # the packed sort; 2**40 still packs beside these positions.
+        # None of them is dense enough for a bincount, so the key count
+        # sorts too.  The Zipf trace touches 6,386 keys, 2,387 twice:
+        # 4,000 rows take the FIFO replay.
         traces = list(_small_traces(count=300, seed=offset % 1_000))
         zipf = zipf_indices(np.random.default_rng(9), 20_000, 30_000, 1.05)
-        traces += [(zipf, 1_000), (zipf, 10_000), (zipf, 30_000)]
+        traces += [(zipf, c) for c in (1_000, 4_000, 10_000, 30_000)]
         for keys, capacity in traces:
             shifted = keys.astype(np.int64) + np.int64(offset)
             assert np.array_equal(
                 get_cache_policy(name).hits(shifted, capacity),
                 ORACLES[name](shifted, capacity),
+            )
+
+    @pytest.mark.parametrize(
+        "offset", [0, -(2**40), -5, 2**40, 2**62, np.iinfo(np.int64).max - 20]
+    )
+    def test_key_counts_match_unique(self, offset):
+        # Offset 0 keeps the keys dense (bincount); the others sort.
+        traces = [keys for keys, _ in _small_traces(count=300, seed=16)]
+        traces.append(
+            zipf_indices(np.random.default_rng(9), 20_000, 30_000, 1.05)
+        )
+        # Largest key just below the bincount bound at offset 0, and at it.
+        top = _DENSE_KEYS * 3
+        traces += [np.array([0, top - 1, top - 1]), np.array([0, top, top])]
+        for keys in traces:
+            shifted = keys.astype(np.int64) + np.int64(offset)
+            _, counts = np.unique(shifted, return_counts=True)
+            assert _key_counts(shifted) == (
+                counts.size,
+                int(np.count_nonzero(counts > 1)),
             )
 
     def test_touches_match_a_dict_scan(self):
@@ -472,7 +558,7 @@ class TestPolicyExactness:
 
     #: (hit count, CRC-32 of the packed flags) on the trace below,
     #: recorded from the implementations these replays replaced.
-    PINS = {
+    PINS: ClassVar[dict[str, tuple[int, int]]] = {
         "lru": (31_304, 3_541_298_950),
         "lfu": (34_368, 1_885_703_768),
         "admit-on-second-touch": (34_160, 4_161_692_228),
@@ -486,6 +572,110 @@ class TestPolicyExactness:
             int(np.count_nonzero(flags)),
             zlib.crc32(np.packbits(flags).tobytes()),
         ) == self.PINS[name]
+
+    #: The same pins on a warm serve op's hot-tier trace, which lfu and
+    #: admit-on-second-touch replay as a FIFO, recorded from the loops.
+    OP_PINS: ClassVar[dict[str, tuple[int, int]]] = {
+        "lru": (189_900, 603_525_898),
+        "lfu": (191_656, 1_522_482_151),
+        "admit-on-second-touch": (182_244, 56_641_683),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OP_PINS))
+    def test_pinned_flags_on_a_serve_op_trace(self, name):
+        keys = _tiered_zipf_trace(240_000)
+        flags = get_cache_policy(name).hits(keys, 17_930)
+        assert (
+            int(np.count_nonzero(flags)),
+            zlib.crc32(np.packbits(flags).tobytes()),
+        ) == self.OP_PINS[name]
+
+
+def _zipf_pmf(rows, alpha):
+    """Each key's probability under ``zipf_indices`` (``alpha`` != 1).
+
+    It floors ``x - 1``, where ``x`` has the CDF ``(x^(1 - alpha) - 1) /
+    (rows^(1 - alpha) - 1)`` on ``[1, rows)``, so key ``i`` takes the
+    mass between ``i + 1`` and ``i + 2``, and the last key none.
+    """
+    edges = np.arange(1, rows + 1, dtype=np.float64) ** (1.0 - alpha)
+    pmf = np.zeros(rows)
+    pmf[:-1] = np.diff(edges) / (edges[-1] - 1.0)
+    return pmf
+
+
+def _che_lru_hit_rate(pmf, capacity):
+    """Che's approximation of LRU's hit rate under independent references.
+
+    The characteristic time ``T`` solves ``sum(1 - exp(-p T)) =
+    capacity``, found by bisection (the sum grows with ``T``); the hit
+    rate is ``sum(p (1 - exp(-p T)))`` (Che, Tung & Wang 2002).
+    """
+
+    def filled(t):
+        return float(np.sum(-np.expm1(-pmf * t)))
+
+    lo, hi = 0.0, 1.0
+    while filled(hi) < capacity:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if filled(mid) < capacity else (lo, mid)
+    return float(np.sum(pmf * -np.expm1(-pmf * hi)))
+
+
+#: (rows, capacity, alpha, warm-up, measured accesses, FIFO): the first
+#: is a warm tiered-zipf serve op, which lfu and admit-on-second-touch
+#: replay as a FIFO; they loop over the other three.
+IRM_SHAPES = [
+    (143_442, 17_930, 1.05, 65_536, 174_592, True),
+    (143_442, 4_096, 1.05, 50_000, 200_000, False),
+    (20_000, 2_000, 1.2, 50_000, 300_000, False),
+    (50_000, 5_000, 0.8, 100_000, 300_000, False),
+]
+IRM_IDS = [f"{rows}-rows-{c}-at-zipf-{a}" for rows, c, a, *_ in IRM_SHAPES]
+
+#: Four binomial standard errors of a rate measured over the shortest
+#: window: 4 * sqrt(0.25 / 174,592) = 0.0048.
+SAMPLING_SLACK = 0.005
+
+#: The sampling slack, plus Che's own error at caches of thousands of
+#: rows, which read at most 0.0005 (0.1%) on 2M-access replays.
+CHE_TOLERANCE = SAMPLING_SLACK + 0.001
+
+
+def _irm_trace(shape):
+    rows, capacity, alpha, warm, measured, _fifo = shape
+    return zipf_indices(
+        np.random.default_rng(rows + capacity), rows, warm + measured, alpha
+    )
+
+
+class TestIrmHitRates:
+    """Steady-state hit rates at zero drift, where every access draws its
+    key independently from one fixed distribution, against results that
+    do not replay the trace."""
+
+    @pytest.mark.parametrize("shape", IRM_SHAPES, ids=IRM_IDS)
+    def test_lru_tracks_che(self, shape):
+        rows, capacity, alpha, warm, _measured, _fifo = shape
+        flags = get_cache_policy("lru").hits(_irm_trace(shape), capacity)
+        che = _che_lru_hit_rate(_zipf_pmf(rows, alpha), capacity)
+        assert abs(flags[warm:].mean() - che) <= CHE_TOLERANCE
+
+    @pytest.mark.parametrize("shape", IRM_SHAPES, ids=IRM_IDS)
+    def test_no_policy_beats_the_top_c_bound(self, shape):
+        # No demand-paging policy beats holding the C likeliest keys
+        # (Aho, Denning & Ullman 1971), and key i is the i-th likeliest.
+        rows, capacity, alpha, warm, _measured, fifo = shape
+        keys = _irm_trace(shape)
+        top_c = float(_zipf_pmf(rows, alpha)[:capacity].sum())
+        # The trace's own share of those keys checks the distribution.
+        assert abs(np.mean(keys[warm:] < capacity) - top_c) <= SAMPLING_SLACK
+        assert (_key_counts(keys)[1] < capacity) == fifo
+        for name in sorted(ORACLES):
+            rate = get_cache_policy(name).hits(keys, capacity)[warm:].mean()
+            assert rate <= top_c + SAMPLING_SLACK, name
 
 
 class TestTierSpec:

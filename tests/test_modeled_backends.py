@@ -545,6 +545,15 @@ def test_serving_batch_zero_fails(backend):
         repro.deploy_model("small", backend=backend, serving_batch=0)
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("backend", ["cpu", "gpu"])
+def test_serving_batch_bool_fails(backend, value):
+    # A bool is a numbers.Integral but no count: True would serve as a
+    # batch of 1 and report a JSON boolean as the payload's batch.
+    with pytest.raises(ValueError, match=_knob_error("serving_batch", value)):
+        repro.deploy_model("small", backend=backend, serving_batch=value)
+
+
 @pytest.mark.parametrize(
     ("backend", "knob", "value"),
     BAD_SERVING_KNOBS,
