@@ -1,13 +1,15 @@
 """Queuing ablation: idealised vs simulated DRAM channel behaviour.
 
-EXPERIMENTS.md notes one systematic deviation from the paper: our
-analytical lookup latencies sit below the measured hardware, most visibly
-on the large model (ours 1065/868 ns vs the paper's 2260/1630 ns).  This
-experiment quantifies how much of that gap controller effects explain: it
-replays each production placement's per-inference access pattern through
-the open-page :class:`~repro.memory.dramsim.DramChannelSim` (row conflicts,
-command-queue overhead, refresh) and compares per-inference lookup latency
-against the idealised model, with and without Cartesian products.
+``repro experiments table3 queuing`` shows one systematic deviation from
+the paper: our analytical lookup latencies sit below the measured
+hardware, most visibly on the large model (ours 1065/868 ns vs the
+paper's 2260/1630 ns).  This experiment quantifies how much of that gap
+controller effects explain: it replays each production placement's
+per-inference access pattern through the open-page
+:class:`~repro.memory.dramsim.DramChannelSim` (row conflicts,
+command-queue overhead, refresh) and compares per-inference lookup
+latency against the idealised model, with and without Cartesian
+products.
 
 The qualitative claim being guarded: the *Cartesian benefit survives
 queuing* — merging reduces simulated latency by a similar factor to the

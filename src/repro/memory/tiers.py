@@ -24,22 +24,22 @@ later touch under ``admit-on-second-touch``.  Otherwise ``lru`` marks
 every reuse within ``capacity_rows`` accesses as a hit unvisited and
 loops over the rest, tracking only the latest victim's position.
 
-``lfu`` and ``admit-on-second-touch`` first count the trace's distinct
-keys and its repeated ones (touched at least twice), with one
-``np.bincount`` for dense keys.  When few keys repeat (fewer than
-``capacity_rows`` for ``lfu``, at most that many for
-``admit-on-second-touch``), a twice-touched key is never evicted from
-the cache, and each policy is a FIFO of keys touched once in which a
-re-touch promotes the key: ``lfu``'s cache keeps it, the admission
-ghost lets it go.  Both replay through one kernel that visits only first
-touches and the touch after each miss (2Q's FIFO-then-promote, Johnson
-& Shasha 1994).  When more keys repeat, ``lfu`` loops over every key,
-queueing once-touched residents in a ``deque`` in front of a lazily
-refreshed heap of packed (count, last position) ints, and
-``admit-on-second-touch`` runs an ``OrderedDict`` LRU behind a ghost LRU
-of keys seen once.  Every hit flag equals the one the plain per-key
-replay gives (``tests/test_memory_tiers.py`` keeps those loops as its
-oracles).
+When a trace can evict, ``lfu`` and ``admit-on-second-touch`` replay a
+FIFO of keys touched once in which a re-touch promotes the key:
+``lfu``'s cache keeps it, the admission ghost lets it go (2Q's
+FIFO-then-promote, Johnson & Shasha 1994).  One kernel visits only
+first touches and the touch after each miss, and checks its model as it
+runs.  The model holds for ``lfu`` while every victim is a key touched
+once since it came in, which LFU evicts first whenever one is resident,
+and for ``admit-on-second-touch`` until its cache, which holds only
+admitted keys, first has to evict.  When the model breaks, ``lfu`` replays the
+whole trace with its loop: once-touched residents queue in a ``deque``
+in front of a lazily refreshed heap of packed (count, last position)
+ints.  ``admit-on-second-touch`` hands the rest of the trace to an
+``OrderedDict`` LRU behind a ghost LRU of keys seen once, seeded with
+the state the kernel reached.  Every hit flag equals the one the plain
+per-key replay gives (``tests/test_memory_tiers.py`` keeps those loops
+as its oracles).
 
 Everything above this layer (``PerfEstimate``, the serving surfaces, the
 autoscaler, the bench) consumes :class:`TierHierarchy` through
@@ -170,32 +170,13 @@ def _touches(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prev, following
 
 
-#: Keys below this multiple of the trace length are counted by bincount,
-#: whose table then costs at most 64 bytes per access.
-_DENSE_KEYS = 8
-
-
-def _key_counts(keys: np.ndarray) -> tuple[int, int]:
-    """How many distinct keys a trace touches, and how many of them twice.
-
-    One ``np.bincount`` when the keys are non-negative and below
-    :data:`_DENSE_KEYS` times the trace length; a sort otherwise.
-    """
-    n = keys.size
-    if n and keys.min() >= 0 and int(keys.max()) < _DENSE_KEYS * n:
-        counts = np.bincount(keys)
-    else:
-        counts = np.unique(keys, return_counts=True)[1]
-    return int(np.count_nonzero(counts)), int(np.count_nonzero(counts > 1))
-
-
 def _fifo_with_promotion(
     prev: np.ndarray,
     following: np.ndarray,
     capacity: int,
     *,
     frees_slot: bool,
-) -> list[int]:
+) -> tuple[list[int], int, int]:
     """Miss positions of a FIFO cache whose re-touched keys are promoted.
 
     ``prev`` and ``following`` come from :func:`_touches`.  Each miss
@@ -209,8 +190,16 @@ def _fifo_with_promotion(
     Victims leave in queueing order, so, as in :meth:`LruPolicy.hits`,
     only the latest victim's position is kept: a key is still queued iff
     its last miss is later, and each victim is the earliest miss past it
-    whose key has not been touched since.  The caller must make sure a
-    queued key is there whenever a slot is needed.
+    whose key has not been touched since.
+
+    The model holds while every victim is a queued key and at most
+    ``capacity`` keys are promoted, and the replay stops at the first
+    access that breaks it: a miss that finds every slot taken by a
+    promoted key, or a promotion past the ``capacity``-th (which cannot
+    happen while promoted keys keep their slots).  Returns ``(misses,
+    stop, queued_from)``: the misses before ``stop``, the position it
+    stopped at (``prev.size`` when it ran to the end), and the index in
+    ``misses`` of the first miss past the latest victim.
     """
     n = prev.size
     first = np.flatnonzero(prev < 0)
@@ -226,6 +215,7 @@ def _fifo_with_promotion(
     pending: list[int] = []  # the touch after each re-miss
     evicted = -1  # last miss of the latest victim
     used = 0
+    room = capacity  # promotions left
     j = k = 0
     while True:
         i = events[k]
@@ -234,9 +224,12 @@ def _fifo_with_promotion(
         elif i < n:
             k += 1
         else:
-            break
+            return misses, n, j
         p = prev_at[i]
         if p > evicted:  # still queued: promote
+            if not room:
+                return misses, i, j
+            room -= 1
             used -= release
             continue
         if p >= 0:  # evicted since its last miss: queue it again
@@ -244,14 +237,16 @@ def _fifo_with_promotion(
             if q < n:
                 heapq.heappush(pending, q)
         if used == capacity:
-            while next_at[misses[j]] <= i:
-                j += 1
+            try:
+                while next_at[misses[j]] <= i:
+                    j += 1
+            except IndexError:  # no queued key left to evict
+                return misses, i, j
             evicted = misses[j]
             j += 1
         else:
             used += 1
         misses.append(i)
-    return misses
 
 
 class LruPolicy:
@@ -315,41 +310,42 @@ class LfuPolicy:
     more distinct keys than ``capacity_rows`` cannot evict, so every
     repeat hits.
 
-    With fewer than ``capacity_rows`` keys touched twice or more in the
-    whole trace, a full cache always holds a key touched once since it
-    came in, so every victim is such a key, the first of them to come
-    in, and a resident touched twice is never evicted.  The replay is
-    then a FIFO whose re-touched keys are promoted and keep their slot
-    (:func:`_fifo_with_promotion`).  The bound is strict: with as many
-    repeated keys as rows, every resident may have been touched twice.
+    Otherwise, while the cache holds a key touched once since it came
+    in, every victim is such a key, the first of them to come in, and a
+    resident touched twice is never evicted.  The replay is then a FIFO
+    whose re-touched keys are promoted and keep their slot
+    (:func:`_fifo_with_promotion`), which stops at the first miss that
+    finds every resident promoted.
 
-    Otherwise a loop replays every key.  Each resident key's state is
-    one int packing ``(count << shift) | position`` of its last access,
-    so ordering states orders victims.  Residents touched once are
-    always the lowest-count victims and leave in insertion order, so
-    they queue in a ``deque``.  An entry touched again since it queued
-    moves into the eviction heap when the queue reaches it, and the heap
-    is read only once the queue holds no once-touched resident.  Heap
-    entries may lag their key's state (hits only update the dict); a
-    lagging top is refreshed in place, and the first top equal to its
-    key's state is the victim.  States only grow, so that top is the
-    minimum over every resident key.
+    When it stops, a loop replays every key from the start.  Each
+    resident key's state is one int packing ``(count << shift) |
+    position`` of its last access, so ordering states orders victims.
+    Residents touched once are always the lowest-count victims and leave
+    in insertion order, so they queue in a ``deque``.  An entry touched
+    again since it queued moves into the eviction heap when the queue
+    reaches it, and the heap is read only once the queue holds no
+    once-touched resident.  Heap entries may lag their key's state (hits
+    only update the dict); a lagging top is refreshed in place, and the
+    first top equal to its key's state is the victim.  States only grow,
+    so that top is the minimum over every resident key.
     """
 
     name = "lfu"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
         keys, capacity = _replay_input(keys, capacity_rows)
-        distinct, repeated = _key_counts(keys)
-        if distinct <= capacity:
-            return _touches(keys)[0] >= 0
-        if repeated < capacity:
-            misses = _fifo_with_promotion(
-                *_touches(keys), capacity, frees_slot=False
-            )
-            flags = np.ones(keys.size, dtype=bool)
+        prev, following = _touches(keys)
+        flags = prev >= 0
+        if keys.size - np.count_nonzero(flags) <= capacity:
+            return flags
+        misses, stop, _ = _fifo_with_promotion(
+            prev, following, capacity, frees_slot=False
+        )
+        if stop == keys.size:
+            flags[:] = True
             flags[misses] = False
             return flags
+        del prev, following, misses
         keys_list = keys.tolist()
         shift = len(keys_list).bit_length()
         pos_mask = (1 << shift) - 1
@@ -398,49 +394,59 @@ class AdmitOnSecondTouchPolicy:
     doorkeeper).
 
     A trace with no more distinct keys than ``capacity_rows`` evicts
-    from neither LRU, so every third and later touch hits.  With at most
-    ``capacity_rows`` keys touched twice or more in the whole trace, the
-    cache holds only admitted keys, each touched twice, so it never
-    evicts and every touch after an admission hits.  The ghost, whose
-    keys are never touched in place, is then a FIFO that admission
-    empties (:func:`_fifo_with_promotion`, the promoted key freeing its
-    slot), and the touch after each of its misses is a miss too: an
-    admission or a re-queue.  Traces with more repeated keys replay
-    through two ``OrderedDict`` LRUs in recency order.
+    from neither LRU, so every third and later touch hits.  Otherwise,
+    until the cache first has to evict, it holds every admitted key, and
+    every touch after an admission hits.  The ghost, whose keys are never
+    touched in place, is then a FIFO that admission empties
+    (:func:`_fifo_with_promotion`, the promoted key freeing its slot),
+    and the touch after each of its misses is a miss too: an admission
+    or a re-queue.  The replay stops at the admission past the
+    ``capacity_rows``-th and hands the rest of the trace to two
+    ``OrderedDict`` LRUs in recency order: the ghost holds the queued
+    misses not promoted before the stop, in queueing order, and the
+    cache every key whose last touch before the stop was an admission
+    or a hit, least recently touched first.
     """
 
     name = "admit-on-second-touch"
 
     def hits(self, keys: np.ndarray, capacity_rows: int) -> np.ndarray:
         keys, capacity = _replay_input(keys, capacity_rows)
-        distinct, repeated = _key_counts(keys)
-        if distinct <= capacity:
-            prev = _touches(keys)[0]
-            repeat = prev >= 0
-            flags = np.zeros(keys.size, dtype=bool)
+        prev, following = _touches(keys)
+        n = keys.size
+        repeat = prev >= 0
+        if n - np.count_nonzero(repeat) <= capacity:
+            flags = np.zeros(n, dtype=bool)
             flags[repeat] = repeat[prev[repeat]]
             return flags
-        if repeated <= capacity:
-            prev, following = _touches(keys)
-            misses = np.array(
-                _fifo_with_promotion(
-                    prev, following, capacity, frees_slot=True
-                )
-            )
-            retouched = following[misses]
-            flags = np.ones(keys.size, dtype=bool)
-            flags[misses] = False
-            flags[retouched[retouched < keys.size]] = False
+        misses, stop, queued_from = _fifo_with_promotion(
+            prev, following, capacity, frees_slot=True
+        )
+        misses = np.array(misses, dtype=prev.dtype)
+        retouched = following[misses]
+        flags = np.ones(n, dtype=bool)
+        flags[misses] = False
+        flags[retouched[retouched < n]] = False
+        if stop == n:
             return flags
-        keys_list = keys.tolist()
-        flags = [False] * len(keys_list)
-        cache: OrderedDict[int, None] = OrderedDict()
-        ghost: OrderedDict[int, None] = OrderedDict()
+        # Hand over to the loop with the state the replay reached.  A
+        # key whose last touch before the stop was not a ghost miss was
+        # admitted, and is cached.
+        queued = misses[queued_from:]
+        ghost = keys[queued[following[queued] >= stop]]
+        last = np.flatnonzero(following[:stop] >= stop)
+        missed = np.zeros(stop, dtype=bool)
+        missed[misses] = True
+        cached = keys[last[~missed[last]]]
+        del prev, following, misses, retouched, last, missed
+        cache = OrderedDict.fromkeys(cached.tolist())
+        ghost = OrderedDict.fromkeys(ghost.tolist())
         touch = cache.move_to_end
-        for i, key in enumerate(keys_list):
+        tail = [False] * (n - stop)
+        for i, key in enumerate(keys[stop:].tolist()):
             if key in cache:
                 touch(key)
-                flags[i] = True
+                tail[i] = True
                 continue
             if key in ghost:
                 del ghost[key]
@@ -451,7 +457,8 @@ class AdmitOnSecondTouchPolicy:
                 ghost[key] = None
                 if len(ghost) > capacity:
                     ghost.popitem(last=False)
-        return np.array(flags, dtype=bool)
+        flags[stop:] = tail
+        return flags
 
 
 # ---------------------------------------------------------------------------

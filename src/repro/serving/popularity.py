@@ -16,6 +16,7 @@ sizes against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ DEFAULT_ALPHA = 1.05
 class PopularityModel:
     """Skewed, optionally drifting key popularity over ``rows`` keys.
 
+    ``rows`` is a positive integer (a numpy integer, not a bool);
     ``alpha`` is the Zipf exponent (``<= 0`` degenerates to uniform);
     ``drift_rows_per_s`` rotates the rank→key mapping through the key
     space, modelling hot-set churn over a diurnal trace.
@@ -40,8 +42,14 @@ class PopularityModel:
     drift_rows_per_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rows <= 0:
-            raise ValueError(f"rows must be positive, got {self.rows}")
+        if (
+            not isinstance(self.rows, numbers.Integral)
+            or isinstance(self.rows, bool)
+            or self.rows <= 0
+        ):
+            raise ValueError(
+                f"rows must be a positive integer, got {self.rows!r}"
+            )
         for name in ("alpha", "drift_rows_per_s"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -63,14 +71,16 @@ class PopularityModel:
 
         ``t_s`` may be a scalar or an array broadcastable to ``size``
         (e.g. per-query arrival times), letting one call span a trace
-        window while the hot set drifts through it.
+        window while the hot set drifts through it.  It is ignored when
+        the model does not drift, and must be finite when it does.
         """
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
         ranks = zipf_indices(rng, self.rows, size, self.alpha)
         if self.drift_rows_per_s == 0.0:
             return ranks
-        shift = np.floor(
-            np.asarray(t_s, dtype=np.float64) * self.drift_rows_per_s
-        ).astype(np.int64)
+        t_s = np.asarray(t_s, dtype=np.float64)
+        if not np.isfinite(t_s).all():
+            raise ValueError("t_s must be finite when the model drifts")
+        shift = np.floor(t_s * self.drift_rows_per_s).astype(np.int64)
         return (ranks + shift) % self.rows

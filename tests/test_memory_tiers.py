@@ -17,8 +17,7 @@ from repro.memory.tiers import (
     TierHierarchy,
     TierSpec,
     UnknownCachePolicyError,
-    _DENSE_KEYS,
-    _key_counts,
+    _fifo_with_promotion,
     _touches,
     available_cache_policies,
     default_tier_hierarchy,
@@ -345,6 +344,20 @@ def _assert_matches_oracles(name, keys, capacity):
             )
 
 
+#: Whether a promoted key frees its slot, for each policy that replays
+#: through the FIFO kernel.
+FIFO_FREES_SLOT = {"lfu": False, "admit-on-second-touch": True}
+
+
+def _fifo_stop(name, keys, capacity):
+    """Where the FIFO replay of ``name`` stops on ``keys``: the first
+    access its model cannot answer, or ``keys.size`` at the end."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return _fifo_with_promotion(
+        *_touches(keys), capacity, frees_slot=FIFO_FREES_SLOT[name]
+    )[1]
+
+
 def _tiered_zipf_trace(size=450_560):
     """Keys as tiered-zipf replays them: Zipf(1.05) over the small model
     at --max-rows 4096 (143,442 rows).  A build replays 450,560 (65,536
@@ -440,46 +453,91 @@ class TestPolicyExactness:
         assert 0 < misses.size <= ddr
         _assert_matches_oracles(name, misses, ddr)
 
+    #: The least capacity from which each FIFO replay of the trace below
+    #: runs to the end; one row fewer stops it inside the trace.
+    FIFO_RUNS_FROM: ClassVar[dict[str, int]] = {
+        "lfu": 82,
+        "admit-on-second-touch": 791,
+    }
+
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_capacity_at_the_no_eviction_boundaries(self, name):
         # Every policy answers in one pass up to the distinct-key count.
-        # Past it lfu replays a FIFO while fewer keys repeat than the
-        # cache holds, admit-on-second-touch while no more do, and both
-        # loop otherwise: test each boundary from both sides.
+        # Past it lfu and admit-on-second-touch replay the FIFO, which on
+        # this trace stops inside it below a capacity of its own and runs
+        # to the end from there: test each boundary from both sides.
         keys = zipf_indices(np.random.default_rng(8), 3_000, 6_000, 0.9)
-        distinct, repeated = _key_counts(keys)
-        assert repeated + 1 < distinct - 1
-        for capacity in (
-            repeated - 1,
-            repeated,
-            repeated + 1,
-            distinct - 1,
-            distinct,
-        ):
-            _assert_matches_oracles(name, keys, capacity)
+        distinct = np.unique(keys).size
+        assert distinct == 1_701
+        runs_from = self.FIFO_RUNS_FROM.get(name)
+        if runs_from is not None:
+            assert _fifo_stop(name, keys, runs_from - 1) < keys.size
+            assert _fifo_stop(name, keys, runs_from) == keys.size
+        for boundary in (*self.FIFO_RUNS_FROM.values(), distinct):
+            for capacity in (boundary - 1, boundary):
+                _assert_matches_oracles(name, keys, capacity)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     @pytest.mark.parametrize("excess", [-1, 0, 1])
     def test_repeated_keys_around_capacity_match_oracle(self, name, excess):
         # One repeated key fewer than the cache holds, as many, and one
-        # more, on traces that always evict: at as many, lfu must loop
-        # (every resident may be touched twice) and admit-on-second-touch
-        # may still replay the FIFO (it caches only repeated keys).
-        for keys, capacity in _repeat_traces(excess):
-            distinct, repeated = _key_counts(keys)
-            assert repeated == capacity + excess and distinct > capacity
+        # more, on traces that always evict.  With fewer, lfu's cache
+        # always holds a key touched once, and with no more, the cache of
+        # admit-on-second-touch never evicts, so the FIFO replay runs to
+        # the end; past either bound the first trace stops it.
+        bound = {"lfu": -1, "admit-on-second-touch": 0}.get(name)
+        for trace, (keys, capacity) in enumerate(_repeat_traces(excess)):
+            _, counts = np.unique(keys, return_counts=True)
+            assert np.count_nonzero(counts > 1) == capacity + excess
+            assert counts.size > capacity
+            if bound is not None and (excess <= bound or trace == 0):
+                runs = _fifo_stop(name, keys, capacity) == keys.size
+                assert runs == (excess <= bound)
             _assert_matches_oracles(name, keys, capacity)
 
     @pytest.mark.parametrize("name", ["admit-on-second-touch", "lfu"])
     @pytest.mark.parametrize("size", [170_000, 240_000])
     def test_serve_op_traces_match_oracle(self, name, size):
         # A cold and a warm serve op's hot-tier trace: more distinct keys
-        # than the 17,930 hot rows and fewer repeated ones, so lfu and
-        # admit-on-second-touch both replay the FIFO.
+        # than the 17,930 hot rows, and the FIFO replays of lfu and
+        # admit-on-second-touch run to the end.
         keys = _tiered_zipf_trace(size)
-        distinct, repeated = _key_counts(keys)
-        assert repeated < 17_930 < distinct
+        assert np.unique(keys).size > 17_930
+        assert _fifo_stop(name, keys, 17_930) == keys.size
         _assert_matches_oracles(name, keys, 17_930)
+
+    @pytest.mark.parametrize(
+        ("keys", "capacity", "stop"),
+        [
+            # The earliest a cache of 3 rows can evict: the fourth
+            # admission, after four keys touched twice in a row.
+            ([0, 0, 1, 1, 2, 2, 3, 3, 0, 4, 4, 1, 3, 2, 0], 3, 7),
+            # Mid-trace: 5 leaves the ghost before the stop, 6 is queued
+            # across it, and the hit on 0 makes 1 the cache's LRU key.
+            ([5, 0, 0, 1, 1, 0, 6, 2, 2, 7, 1, 0, 6, 1, 2, 0], 2, 8),
+            # On the last access.
+            ([4, 0, 0, 5, 1, 1, 0, 6, 4, 2, 2], 2, 10),
+        ],
+    )
+    def test_second_touch_hands_over_at_the_first_eviction(
+        self, keys, capacity, stop
+    ):
+        keys = np.array(keys)
+        assert _fifo_stop("admit-on-second-touch", keys, capacity) == stop
+        _assert_matches_oracles("admit-on-second-touch", keys, capacity)
+
+    def test_lfu_loops_once_every_resident_is_promoted(self):
+        # Both rows hold keys touched twice when 2 misses, so LFU evicts
+        # a promoted key (0, touched least recently) and the FIFO replay
+        # stops there.  A Zipf(0.8) trace stops it at 64 rows, late.
+        keys = np.array([0, 0, 1, 1, 2, 1, 0, 2, 3, 0])
+        assert _fifo_stop("lfu", keys, 2) == 4
+        _assert_matches_oracles("lfu", keys, 2)
+        zipf = zipf_indices(np.random.default_rng(10), 20_000, 50_000, 0.8)
+        assert _fifo_stop("lfu", zipf, 64) == 38_465
+        assert _fifo_stop("lfu", zipf, 512) == zipf.size
+        for capacity in (64, 512):
+            _assert_matches_oracles("lfu", zipf, capacity)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     @pytest.mark.parametrize(
@@ -489,9 +547,9 @@ class TestPolicyExactness:
         # Negative keys, and keys too wide to share 63 bits with a
         # position (2**62 and up), take the stable argsort in place of
         # the packed sort; 2**40 still packs beside these positions.
-        # None of them is dense enough for a bincount, so the key count
-        # sorts too.  The Zipf trace touches 6,386 keys, 2,387 twice:
-        # 4,000 rows take the FIFO replay.
+        # The Zipf trace touches 6,386 keys: at 1,000 rows
+        # admit-on-second-touch hands its FIFO replay over to the loop,
+        # and at 4,000 and 10,000 both FIFO replays run to the end.
         traces = list(_small_traces(count=300, seed=offset % 1_000))
         zipf = zipf_indices(np.random.default_rng(9), 20_000, 30_000, 1.05)
         traces += [(zipf, c) for c in (1_000, 4_000, 10_000, 30_000)]
@@ -500,26 +558,6 @@ class TestPolicyExactness:
             assert np.array_equal(
                 get_cache_policy(name).hits(shifted, capacity),
                 ORACLES[name](shifted, capacity),
-            )
-
-    @pytest.mark.parametrize(
-        "offset", [0, -(2**40), -5, 2**40, 2**62, np.iinfo(np.int64).max - 20]
-    )
-    def test_key_counts_match_unique(self, offset):
-        # Offset 0 keeps the keys dense (bincount); the others sort.
-        traces = [keys for keys, _ in _small_traces(count=300, seed=16)]
-        traces.append(
-            zipf_indices(np.random.default_rng(9), 20_000, 30_000, 1.05)
-        )
-        # Largest key just below the bincount bound at offset 0, and at it.
-        top = _DENSE_KEYS * 3
-        traces += [np.array([0, top - 1, top - 1]), np.array([0, top, top])]
-        for keys in traces:
-            shifted = keys.astype(np.int64) + np.int64(offset)
-            _, counts = np.unique(shifted, return_counts=True)
-            assert _key_counts(shifted) == (
-                counts.size,
-                int(np.count_nonzero(counts > 1)),
             )
 
     def test_touches_match_a_dict_scan(self):
@@ -590,6 +628,30 @@ class TestPolicyExactness:
             zlib.crc32(np.packbits(flags).tobytes()),
         ) == self.OP_PINS[name]
 
+    #: The same pins on a build's hot-tier trace, recorded when lfu and
+    #: admit-on-second-touch looped over all of it.
+    BUILD_PINS: ClassVar[dict[str, tuple[int, int]]] = {
+        "lru": (360_664, 3_548_586_267),
+        "lfu": (367_392, 2_062_177_926),
+        "admit-on-second-touch": (358_884, 355_229_157),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILD_PINS))
+    def test_pinned_flags_on_a_build_trace(self, name):
+        # lfu's FIFO replay runs to the end; admit-on-second-touch's
+        # stops inside the trace, at the admission that would first
+        # make the cache evict, and hands over to its loop.
+        keys = _tiered_zipf_trace()
+        if name == "lfu":
+            assert _fifo_stop(name, keys, 17_930) == keys.size
+        elif name == "admit-on-second-touch":
+            assert 0 < _fifo_stop(name, keys, 17_930) < keys.size
+        flags = get_cache_policy(name).hits(keys, 17_930)
+        assert (
+            int(np.count_nonzero(flags)),
+            zlib.crc32(np.packbits(flags).tobytes()),
+        ) == self.BUILD_PINS[name]
+
 
 def _zipf_pmf(rows, alpha):
     """Each key's probability under ``zipf_indices`` (``alpha`` != 1).
@@ -624,14 +686,15 @@ def _che_lru_hit_rate(pmf, capacity):
     return float(np.sum(pmf * -np.expm1(-pmf * hi)))
 
 
-#: (rows, capacity, alpha, warm-up, measured accesses, FIFO): the first
-#: is a warm tiered-zipf serve op, which lfu and admit-on-second-touch
-#: replay as a FIFO; they loop over the other three.
+#: (rows, capacity, alpha, warm-up, measured accesses, handover): the
+#: first is a warm tiered-zipf serve op.  lfu's FIFO replay runs to the
+#: end on all four; admit-on-second-touch's runs to the end on the first
+#: and hands over to its loop on the other three.
 IRM_SHAPES = [
-    (143_442, 17_930, 1.05, 65_536, 174_592, True),
-    (143_442, 4_096, 1.05, 50_000, 200_000, False),
-    (20_000, 2_000, 1.2, 50_000, 300_000, False),
-    (50_000, 5_000, 0.8, 100_000, 300_000, False),
+    (143_442, 17_930, 1.05, 65_536, 174_592, False),
+    (143_442, 4_096, 1.05, 50_000, 200_000, True),
+    (20_000, 2_000, 1.2, 50_000, 300_000, True),
+    (50_000, 5_000, 0.8, 100_000, 300_000, True),
 ]
 IRM_IDS = [f"{rows}-rows-{c}-at-zipf-{a}" for rows, c, a, *_ in IRM_SHAPES]
 
@@ -645,7 +708,7 @@ CHE_TOLERANCE = SAMPLING_SLACK + 0.001
 
 
 def _irm_trace(shape):
-    rows, capacity, alpha, warm, measured, _fifo = shape
+    rows, capacity, alpha, warm, measured, _handover = shape
     return zipf_indices(
         np.random.default_rng(rows + capacity), rows, warm + measured, alpha
     )
@@ -658,7 +721,7 @@ class TestIrmHitRates:
 
     @pytest.mark.parametrize("shape", IRM_SHAPES, ids=IRM_IDS)
     def test_lru_tracks_che(self, shape):
-        rows, capacity, alpha, warm, _measured, _fifo = shape
+        rows, capacity, alpha, warm, _measured, _handover = shape
         flags = get_cache_policy("lru").hits(_irm_trace(shape), capacity)
         che = _che_lru_hit_rate(_zipf_pmf(rows, alpha), capacity)
         assert abs(flags[warm:].mean() - che) <= CHE_TOLERANCE
@@ -667,12 +730,14 @@ class TestIrmHitRates:
     def test_no_policy_beats_the_top_c_bound(self, shape):
         # No demand-paging policy beats holding the C likeliest keys
         # (Aho, Denning & Ullman 1971), and key i is the i-th likeliest.
-        rows, capacity, alpha, warm, _measured, fifo = shape
+        rows, capacity, alpha, warm, _measured, handover = shape
         keys = _irm_trace(shape)
         top_c = float(_zipf_pmf(rows, alpha)[:capacity].sum())
         # The trace's own share of those keys checks the distribution.
         assert abs(np.mean(keys[warm:] < capacity) - top_c) <= SAMPLING_SLACK
-        assert (_key_counts(keys)[1] < capacity) == fifo
+        assert _fifo_stop("lfu", keys, capacity) == keys.size
+        stop = _fifo_stop("admit-on-second-touch", keys, capacity)
+        assert (stop < keys.size) == handover
         for name in sorted(ORACLES):
             rate = get_cache_policy(name).hits(keys, capacity)[warm:].mean()
             assert rate <= top_c + SAMPLING_SLACK, name
@@ -905,6 +970,38 @@ class TestPopularityModel:
     def test_non_finite_knobs_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PopularityModel(rows=10, **{field: value})
+
+    @pytest.mark.parametrize(
+        "rows",
+        [10.5, 10.0, True, np.True_, float("nan"), float("inf"), -3, "10"],
+        ids=repr,
+    )
+    def test_rows_must_be_a_positive_integer(self, rows):
+        with pytest.raises(
+            ValueError, match="rows must be a positive integer"
+        ):
+            PopularityModel(rows=rows)
+
+    def test_numpy_integer_rows_equal_int(self):
+        expected = PopularityModel(rows=100).sample(
+            np.random.default_rng(3), 64
+        )
+        for rows in (np.int64(100), np.int32(100), np.uint16(100)):
+            keys = PopularityModel(rows=rows).sample(
+                np.random.default_rng(3), 64
+            )
+            assert keys.dtype == np.int64
+            assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize(
+        "t_s",
+        [float("nan"), float("inf"), -np.inf, np.array([0.0, np.nan, 1.0])],
+        ids=repr,
+    )
+    def test_drifting_sample_rejects_non_finite_times(self, t_s):
+        model = PopularityModel(rows=100, drift_rows_per_s=1.0)
+        with pytest.raises(ValueError, match="t_s must be finite"):
+            model.sample(np.random.default_rng(0), 3, t_s=t_s)
 
     def test_sample_range_and_determinism(self):
         model = PopularityModel(rows=1000, alpha=1.05)

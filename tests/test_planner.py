@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.core.allocation import allocate_to_banks
+from repro.core.cartesian import MergeGroup
 from repro.core.planner import (
     PlannerConfig,
     pair_candidates,
@@ -13,7 +15,7 @@ from repro.core.planner import (
 from repro.core.tables import TableSpec
 from repro.memory.spec import u280_memory_system
 from repro.runtime import deploy_model
-from repro.memory.timing import default_timing_model
+from repro.memory.timing import MemoryTimingModel, default_timing_model
 from repro.models.spec import production_large, production_small
 
 
@@ -25,6 +27,26 @@ class TestPairCandidates:
         assert (0, 5) in pairs
         assert (1, 4) in pairs
         assert (2, 3) in pairs
+
+    def test_smallest_with_largest_stores_less_than_adjacent_pairs(self):
+        """Rule 3 ablation: pairing neighbours multiplies two similar row
+        counts, so its products outgrow the paper's pairing."""
+        specs = [TableSpec(i, rows=100 * 2**i, dim=4) for i in range(8)]
+        by_id = {s.table_id: s for s in specs}
+        memory = u280_memory_system()
+        timing = MemoryTimingModel(axi=memory.axi)
+        ordered = sorted(specs, key=lambda s: s.size_key)
+        adjacent = [
+            (ordered[2 * i].table_id, ordered[2 * i + 1].table_id)
+            for i in range(4)
+        ]
+
+        def storage(pairs):
+            groups = [MergeGroup(pair) for pair in pairs]
+            placement = allocate_to_banks(groups, by_id, memory, timing)
+            return placement.storage_bytes
+
+        assert storage(pair_candidates(specs)) < storage(adjacent)
 
     def test_odd_middle_stays_single(self):
         specs = [TableSpec(i, rows=10 * (i + 1), dim=4) for i in range(5)]
