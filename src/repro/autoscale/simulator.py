@@ -49,6 +49,7 @@ from repro.autoscale.policies import (
     available_scalers,
     get_scaler,
 )
+from repro.runtime.session import _is_integer
 from repro.serving.arrivals import (
     RateTrace,
     check_positive,
@@ -500,13 +501,10 @@ def _run_policy(
             for cohort in cohorts.values():
                 cohort[1] = min(warm_cap, cohort[1] + absorbed_now)
         mean_ms = float(latencies_ms.mean())
-        # One partition pass serves all four quantiles.
-        p50, p95, p99, tail_ms = (
-            float(v)
-            for v in exact_quantile(
-                latencies_ms, (50.0, 95.0, 99.0, slo_percentile)
-            )
-        )
+        # One partition serves all four quantiles.
+        p50, p95, p99, tail_ms = exact_quantile(
+            latencies_ms, (50.0, 95.0, 99.0, slo_percentile)
+        ).tolist()
         if metrics is not None:
             metrics.histogram(
                 f"autoscale.window_tail_ms.{policy.name}"
@@ -530,7 +528,10 @@ def _run_policy(
             queue_depth=(rate / active) * (mean_ms / 1e3),
             mean_ms=mean_ms,
             tail_ms=tail_ms,
-            sla_attainment=float((latencies_ms <= slo_ms).mean()),
+            # The same float as the flags' mean, without a float cast.
+            sla_attainment=(
+                np.count_nonzero(latencies_ms <= slo_ms) / latencies_ms.size
+            ),
             slo_ms=slo_ms,
             slo_percentile=slo_percentile,
             per_node_qps=per_node_qps,
@@ -695,6 +696,18 @@ def simulate_autoscale(
         raise ValueError(
             f"slo_percentile must be in (0, 100), got {slo_percentile}"
         )
+    for name, value in (
+        ("windows", windows),
+        ("min_nodes", min_nodes),
+        ("max_nodes", max_nodes),
+        ("initial_nodes", 1 if initial_nodes is None else initial_nodes),
+        ("seed", seed),
+    ):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    windows, min_nodes, max_nodes, seed = (
+        int(windows), int(min_nodes), int(max_nodes), int(seed)
+    )
     if windows < 1:
         raise ValueError(f"windows must be >= 1, got {windows}")
     if min_nodes < 1:
@@ -724,7 +737,7 @@ def simulate_autoscale(
         )
     if initial_nodes < 1:
         raise ValueError(f"initial_nodes must be >= 1, got {initial_nodes}")
-    initial_nodes = max(min_nodes, min(max_nodes, initial_nodes))
+    initial_nodes = max(min_nodes, min(max_nodes, int(initial_nodes)))
 
     run = {
         "n_windows": windows,

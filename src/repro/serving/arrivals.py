@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -305,30 +306,38 @@ class RateTrace:
             t_s -= seg.duration_s
         return 0.0
 
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """Segment start times (s), then the horizon: computed once."""
+        return np.concatenate(
+            ([0.0], np.cumsum([seg.duration_s for seg in self.segments]))
+        )
+
     def rates_at(self, t_s: "np.ndarray | Sequence[float]") -> np.ndarray:
         """Vectorised :meth:`rate_at`: offered rate per time in ``t_s``.
 
         Times are bucketed into segments with one ``searchsorted`` and
-        each segment's rate function is evaluated once over its bucket,
-        so callers sampling a trace densely (the autoscaling simulator
-        windows, plotting) avoid a Python-level :meth:`rate_at` call per
-        point.  Times outside the horizon evaluate to 0, matching
-        :meth:`rate_at`.
+        each segment's rate function is evaluated once over its bucket
+        at ``t - start``, so callers sampling a trace densely (the
+        autoscaling simulator windows, plotting) avoid a Python-level
+        :meth:`rate_at` call per point.  Times outside the horizon
+        (and NaN) evaluate to 0, matching :meth:`rate_at`.
+
+        When the smallest and the largest time fall in the same segment
+        (always, on a one-segment trace), that segment's function is
+        evaluated over ``t - start`` directly: the same floats, without
+        the masks and the gathers.  In the first segment that is ``t``
+        itself (``t - 0.0`` is ``t``, bit for bit), so the path costs
+        two passes over the times, their minimum and their maximum.
         """
         t = np.asarray(t_s, dtype=np.float64)
-        if len(self.segments) == 1:
-            # Single-segment fast path (window slices, the simple trace
-            # constructors): no bucketing machinery, one rate_fn call.
-            seg = self.segments[0]
-            valid = (t >= 0) & (t < seg.duration_s)
-            if valid.all():
-                return _eval_rate(seg.rate_fn, t)
-            out = np.zeros(t.shape, dtype=np.float64)
-            out[valid] = _eval_rate(seg.rate_fn, t[valid])
-            return out
-        bounds = np.concatenate(
-            ([0.0], np.cumsum([seg.duration_s for seg in self.segments]))
-        )
+        if t.size == 0:
+            return np.zeros(t.shape, dtype=np.float64)
+        bounds = self._bounds
+        k = int(bounds.searchsorted(t.min(), side="right")) - 1
+        if 0 <= k < len(self.segments) and t.max() < bounds[k + 1]:
+            fn = self.segments[k].rate_fn
+            return _eval_rate(fn, t - bounds[k] if k else t)
         out = np.zeros(t.shape, dtype=np.float64)
         idx = np.searchsorted(bounds, t, side="right") - 1
         valid = (t >= 0) & (idx >= 0) & (idx < len(self.segments))

@@ -133,14 +133,18 @@ class ServingResult:
                 f"got {slo_percentile}"
             )
         latencies = self.latencies_ms
+        # One copy and one partition serve all five percentiles.
+        p50, p95, p99, p999, tail = exact_quantile(
+            latencies, (50, 95, 99, 99.9, slo_percentile)
+        ).tolist()
         return CompactServingResult(
             queries=self.count,
             mean_ms=float(latencies.mean()),
-            p50_ms=float(exact_quantile(latencies, 50)),
-            p95_ms=float(exact_quantile(latencies, 95)),
-            p99_ms=float(exact_quantile(latencies, 99)),
-            p999_ms=float(exact_quantile(latencies, 99.9)),
-            tail_ms=float(exact_quantile(latencies, slo_percentile)),
+            p50_ms=p50,
+            p95_ms=p95,
+            p99_ms=p99,
+            p999_ms=p999,
+            tail_ms=tail,
             slo_percentile=float(slo_percentile),
             sla_attainment=float((latencies <= slo_ms).mean()),
             slo_ms=float(slo_ms),

@@ -7,9 +7,11 @@ ten-million-arrival replays afford always-on collection.
 
 * :mod:`repro.telemetry.digest` — :class:`QuantileDigest`, a
   deterministic, mergeable log-spaced-bin quantile sketch with an
-  exact small-sample fallback, plus :func:`exact_quantile`, the one
-  shared ``np.percentile`` wrapper every percentile consumer routes
-  through;
+  exact small-sample fallback, plus :func:`exact_quantile`, the exact
+  percentile every percentile consumer routes through: NumPy's
+  ``linear`` method computed from one partition, bit-identical to
+  ``np.percentile``, rejecting non-finite values and a ``q`` that is a
+  bool, NaN or outside ``[0, 100]``;
 * :mod:`repro.telemetry.metrics` — :class:`MetricRegistry` (counters,
   gauges, digest-backed histograms), the :class:`Telemetry` hub the
   serving stack's ``telemetry=`` hooks accept, and the exporter

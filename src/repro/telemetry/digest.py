@@ -26,10 +26,11 @@ Everything is deterministic: no randomness, no wall clocks, and the
 vectorised :meth:`add_many` bins every value exactly as one-at-a-time
 adds would, which the parity tests check against a scalar reference.
 
-The module also hosts :func:`exact_quantile`, the one shared wrapper
-over :func:`numpy.percentile` that `ServingResult.percentile_ms`, the
-FPGA trace report, and the serving labs all route through — one place
-to own the rank convention instead of four reimplementations.
+The module also hosts :func:`exact_quantile`, the exact percentile
+that `ServingResult.percentile_ms`, the FPGA trace report, the serving
+labs and the autoscale windows all route through — one place to own
+the rank convention instead of four reimplementations.  It computes
+NumPy's ``linear`` method itself, from one partition, bit for bit.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ _INV_LOG_STEP = NUM_BINS / float(
 #: cache across the pass's five operations.
 _BIN_CHUNK = 1 << 16
 
+#: :func:`_bin_index`'s clip bounds as NumPy integers: ``np.clip`` checks
+#: Python-int bounds against the dtype's range on every call, a few
+#: microseconds that one-value adds would pay each time.
+_BIN_BOUNDS = (np.int64(0), np.int64(TOTAL_BINS - 1))
+
 
 def exact_quantile(
     values: np.ndarray | Sequence[float],
@@ -87,19 +93,54 @@ def exact_quantile(
 ) -> float | np.ndarray:
     """Exact percentile(s) of ``values`` — the stack's one rank convention.
 
-    A thin, shared wrapper over :func:`numpy.percentile` (linear
-    interpolation at rank ``q / 100 * (n - 1)``): scalar ``q`` returns a
-    float, a sequence returns an array.  Every percentile consumer in
-    the repo routes through here so the convention — and any future
-    change to it — lives in exactly one place, and so digests can be
-    validated against the same arithmetic they approximate.
+    NumPy's ``linear`` method (Hyndman & Fan's method 7) in NumPy's own
+    arithmetic, so every result is bit-identical to
+    :func:`numpy.percentile`: the virtual rank ``(n - 1) * q / 100``,
+    its floor, and NumPy's ``_lerp`` between the two neighbouring order
+    statistics.  Those come from one partition of a copy at the order
+    statistics NumPy partitions at (the first, the last, and each
+    rank's floor and floor + 1), so even ``-0.0`` and ``0.0`` land
+    where NumPy puts them.  Scalar ``q`` returns a float, a sequence an
+    array; several percentiles cost one copy and one partition.
+
+    Raises :class:`ValueError` for an empty ``values``, for a NaN or
+    infinite value (read off the partition's first and last order
+    statistics, so the check costs no extra pass), and for a ``q`` that
+    is a bool, NaN or outside ``[0, 100]``.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValueError("exact_quantile needs at least one value")
-    if np.ndim(q) == 0:
-        return float(np.percentile(arr, q))
-    return np.percentile(arr, np.asarray(q, dtype=np.float64))
+    qs = np.asarray(q, dtype=object)
+    # Per percentile: the order statistics below and above its rank,
+    # and the interpolation weight, as NumPy computes them.
+    ranks = []
+    kth = {0, -1}
+    for p in qs.flat:
+        if isinstance(p, (bool, np.bool_)) or not 0 <= p <= 100:
+            raise ValueError(f"exact_quantile q must be in [0, 100], got {p!r}")
+        virtual = (n - 1) * (float(p) / 100)
+        if virtual < n - 1:
+            low = math.floor(virtual)
+            high = low + 1
+        else:  # past the last rank NumPy takes the maximum twice
+            low = high = -1
+        kth.update((low, high))
+        ranks.append((low, high, virtual - low))
+    part = arr.flatten()
+    part.partition(sorted(kth))
+    # NaN partitions last, so these two bound every value.
+    if not (math.isfinite(part[0]) and math.isfinite(part[-1])):
+        raise ValueError("exact_quantile values must be finite")
+    out = []
+    for low, high, gamma in ranks:
+        a, b = float(part[low]), float(part[high])
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    if qs.ndim == 0:
+        return out[0]
+    return np.asarray(out, dtype=np.float64).reshape(qs.shape)
 
 
 class QuantileDigest:
@@ -126,8 +167,25 @@ class QuantileDigest:
     # -- observation ---------------------------------------------------
 
     def add(self, value: float) -> None:
-        """Observe one value."""
-        self.add_many(np.asarray([value], dtype=np.float64))
+        """Observe one value.
+
+        Once binned, the value bumps its one bin, which
+        :func:`_bin_index` picks exactly as :meth:`add_many` does, and
+        the aggregates move as a one-value batch moves them.
+        """
+        arr = np.asarray([value], dtype=np.float64)
+        if self._counts is None:
+            self.add_many(arr)
+            return
+        v = float(arr[0])
+        if not math.isfinite(v):
+            raise ValueError("digest values must be finite")
+        self._count += 1
+        # NumPy sums a one-value batch as 0.0 + v, turning -0.0 into 0.0.
+        self._sum += 0.0 + v
+        self._min = min(self._min, v)
+        self._max = max(self._max, v)
+        self._counts[_bin_index(arr)[0]] += 1
 
     def add_many(self, values: np.ndarray | Sequence[float]) -> None:
         """Observe a batch of values (vectorised hot path).
@@ -379,7 +437,7 @@ def _bin_index(values: np.ndarray) -> np.ndarray:
         out = index[start : start + part.size]
         np.copyto(out, buf, casting="unsafe")
         out += 1
-        np.clip(out, 0, TOTAL_BINS - 1, out=out)
+        np.clip(out, *_BIN_BOUNDS, out=out)
     return index
 
 

@@ -1,8 +1,10 @@
 """Tests for the autoscaling control plane (``repro.autoscale``)."""
 
 import json
+import zlib
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 import repro
@@ -20,7 +22,7 @@ from repro.autoscale import (
     simulate_autoscale,
 )
 from repro.cli import main
-from repro.serving.arrivals import RateTrace, diurnal_trace
+from repro.serving.arrivals import RateTrace, diurnal_trace, flash_crowd_trace
 
 MAX_ROWS = 128
 
@@ -371,6 +373,27 @@ class TestSimulator:
         for knobs in bad:
             with pytest.raises(ValueError):
                 simulate_autoscale(gpu_session, trace, **knobs)
+        # Fleet sizes, windows and seeds are counts: a fractional one
+        # used to be stored (min_nodes), served (max_nodes,
+        # initial_nodes) or to fail deep inside (windows, seed), and
+        # windows=True ran one window.
+        fractional = [
+            ("windows", 2.5),
+            ("windows", True),
+            ("min_nodes", 1.5),
+            ("min_nodes", np.float64(2.0)),
+            ("max_nodes", 2.5),
+            ("max_nodes", False),
+            ("initial_nodes", 2.5),
+            ("initial_nodes", True),
+            ("seed", 1.5),
+            ("seed", np.True_),
+        ]
+        for field, value in fractional:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                simulate_autoscale(
+                    gpu_session, trace, slo_ms=30.0, **{field: value}
+                )
         with pytest.raises(UnknownScalerError):
             simulate_autoscale(
                 gpu_session, trace, policy="warp-drive", slo_ms=30.0
@@ -399,6 +422,65 @@ class TestSimulator:
         )
         # The FPGA pipeline holds the SLO at every sane utilisation.
         assert result.sla_attainment == pytest.approx(1.0)
+
+    def test_numpy_integer_knobs_are_plain_ints(self, gpu_session, trace):
+        result = simulate_autoscale(
+            gpu_session,
+            trace,
+            slo_ms=30.0,
+            windows=np.int64(4),
+            min_nodes=np.int32(2),
+            max_nodes=np.int64(9),
+            initial_nodes=np.int16(3),
+            seed=np.uint8(3),
+            compare_static=False,
+        )
+        plain = simulate_autoscale(
+            gpu_session, trace, slo_ms=30.0, windows=4, min_nodes=2,
+            max_nodes=9, initial_nodes=3, seed=3, compare_static=False,
+        )
+        assert json.dumps(result.as_dict()) == json.dumps(plain.as_dict())
+
+
+#: CRC-32 of each scaler's sorted-key ``as_dict()`` JSON on the flash
+#: crowd below: a faster window (its quantiles, rate lookups, tail adds)
+#: must keep every bit.
+FLASH_PINS = {
+    ("fpga", "predictive-trace"): 0xC9FBE2CC,
+    ("fpga", "queue-depth"): 0xC9DB5A9E,
+    ("fpga", "reactive-utilisation"): 0xBB3ECB8E,
+    ("fpga", "sla-feedback"): 0x53D2975D,
+    ("fpga", "static"): 0xCE7B1461,
+    ("cpu", "predictive-trace"): 0x0CD3E097,
+    ("cpu", "queue-depth"): 0xF034F9B3,
+    ("cpu", "reactive-utilisation"): 0x2F12E79D,
+    ("cpu", "sla-feedback"): 0xE5855BB6,
+    ("cpu", "static"): 0xF5505485,
+}
+
+
+class TestFlashCrowdPins:
+    """Every scaler through a two-segment flash crowd at 6x a node's
+    capacity, static baseline included, byte for byte."""
+
+    @pytest.mark.parametrize("backend", ["fpga", "cpu"])
+    def test_every_scaler_is_pinned(self, backend):
+        session = repro.deploy_model("small", backend=backend, max_rows=128)
+        rate = 6.0 * session.perf().throughput_items_per_s
+        trace = flash_crowd_trace(rate, 12 * 0.02)
+        assert len(trace.segments) == 2
+        assert set(available_scalers()) == {
+            policy for b, policy in FLASH_PINS if b == backend
+        }
+        for policy in available_scalers():
+            result = simulate_autoscale(
+                session, trace, policy, slo_ms=30.0, windows=12, seed=5
+            )
+            assert result.static is not None
+            payload = json.dumps(result.as_dict(), sort_keys=True)
+            assert zlib.crc32(payload.encode()) == FLASH_PINS[
+                (backend, policy)
+            ], policy
 
 
 class TestElasticFleetExperiment:

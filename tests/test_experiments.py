@@ -3,7 +3,7 @@ reproduces the paper's qualitative claims."""
 
 import pytest
 
-from repro.experiments import table2, table4
+from repro.experiments import paper_data, table2, table4
 from repro.experiments.harness import EXPERIMENTS, render_all, run_all
 from repro.experiments.report import ExperimentResult, render_table
 
@@ -68,9 +68,10 @@ class TestFigure3:
 class TestTable2:
     def test_speedup_range(self, results):
         lo, hi = table2.speedup_range(results["table2"])
-        # Paper: 2.5-5.4x.  Same order, overlapping range.
+        # Paper: 2.5-5.4x.  Same order, overlapping range; the top end
+        # within 30% of the paper's 5.41x.
         assert 2.0 < lo < 3.0
-        assert 3.5 < hi < 6.0
+        assert 0.7 * paper_data.TABLE2_SPEEDUP_RANGE[1] < hi < 6.0
 
     def test_fpga_beats_cpu_everywhere(self, results):
         for row in results["table2"].rows:
@@ -80,7 +81,8 @@ class TestTable2:
     def test_microsecond_latency(self, results):
         for row in results["table2"].rows:
             if str(row["engine"]).startswith("FPGA"):
-                assert row["latency_ms"] < 0.05  # tens of microseconds
+                # Tens of microseconds: the paper's band is 16.3-31.0.
+                assert 0.010 < row["latency_ms"] < 0.040
             else:
                 assert row["latency_ms"] > 3.0  # milliseconds
 
@@ -196,7 +198,9 @@ class TestCost:
     def test_fpga_cheaper_per_inference(self, results):
         for row in results["cost"].rows:
             if str(row["engine"]).startswith("FPGA"):
-                assert row["cost_ratio_vs_cpu"] < 1.0
+                # Beneficial long-term (the paper's appendix): under half
+                # the CPU's dollars per inference.
+                assert row["cost_ratio_vs_cpu"] < 0.5
 
 
 class TestTraceScale:

@@ -21,7 +21,10 @@ under fixed seeds:
   server's running maximum, the sorted-stream step of the queue sims,
   the cluster and the sharded cluster vs plain ``np.sort``, and the
   digest's bin map.  These compare bit patterns, so ``-0.0`` and
-  ``0.0`` differ.
+  ``0.0`` differ;
+* ``RateTrace.rates_at``'s one-segment path vs the per-element
+  bucketing it replaced (copied below), and the digest's one-bin
+  ``add`` vs a one-value ``add_many``.
 
 Every comparison is exact (``np.array_equal`` or equality, not
 tolerances): any drift is a bug.
@@ -66,6 +69,7 @@ from repro.telemetry.digest import (
     _INV_LOG_STEP,
     _LOG_MIN,
     EDGES,
+    EXACT_LIMIT,
     MAX_TRACKED,
     MIN_TRACKED,
     TOTAL_BINS,
@@ -771,6 +775,143 @@ class TestArrivalParity:
         assert _same_bits(out, ref)
 
 
+# ---------------------------------------------------------------------------
+# Rate lookups: the one-segment path vs per-element bucketing
+# ---------------------------------------------------------------------------
+
+
+def _reference_rates_at(trace, t_s):
+    """``RateTrace.rates_at`` as it was before the one-segment path,
+    copied verbatim."""
+    t = np.asarray(t_s, dtype=np.float64)
+    if len(trace.segments) == 1:
+        # Single-segment fast path (window slices, the simple trace
+        # constructors): no bucketing machinery, one rate_fn call.
+        seg = trace.segments[0]
+        valid = (t >= 0) & (t < seg.duration_s)
+        if valid.all():
+            return _eval_rate(seg.rate_fn, t)
+        out = np.zeros(t.shape, dtype=np.float64)
+        out[valid] = _eval_rate(seg.rate_fn, t[valid])
+        return out
+    bounds = np.concatenate(
+        ([0.0], np.cumsum([seg.duration_s for seg in trace.segments]))
+    )
+    out = np.zeros(t.shape, dtype=np.float64)
+    idx = np.searchsorted(bounds, t, side="right") - 1
+    valid = (t >= 0) & (idx >= 0) & (idx < len(trace.segments))
+    for k, seg in enumerate(trace.segments):
+        mask = valid & (idx == k)
+        if mask.any():
+            out[mask] = _eval_rate(seg.rate_fn, t[mask] - bounds[k])
+    return out
+
+
+#: A window length whose window ending on the flash spike has local
+#: times below its end that round onto the spike once offset.
+_SHORT_S = 0.001
+
+
+def _rate_traces():
+    """Multi-segment traces, and autoscale windows cut from a flash
+    trace whose spike starts exactly at a window boundary."""
+    from repro.autoscale.simulator import _window_trace
+
+    traces = _traces(5_000.0)
+    flash = flash_crowd_trace(30_000.0, 12 * 0.02)  # spike at 0.08 s
+    spike = flash.segments[0].duration_s
+    # Ends on the spike: its last local times round onto the spike.
+    before = _window_trace(flash, spike - _SHORT_S, _SHORT_S)
+    return {
+        "flash": traces["flash"],
+        "bursty": traces["bursty"],
+        "concat": traces["concat"],
+        "zero-rate-segment": traces["zero-rate-segment"],
+        "flash-12": flash,
+        "window-before-spike": before,
+        "window-after-spike": _window_trace(flash, spike, 0.02),
+        "window-across-spike": _window_trace(flash, spike - 0.01, 0.02),
+        "scaled-window": before.scaled(0.25),
+    }
+
+
+def _probe_times(trace):
+    """Times inside each segment, on and beside every segment bound,
+    outside the horizon, and NaN."""
+    bounds = np.concatenate(
+        ([0.0], np.cumsum([seg.duration_s for seg in trace.segments]))
+    )
+    rng = np.random.default_rng(len(bounds))
+    inside = rng.uniform(0.0, bounds[-1], size=2_000)
+    near = np.concatenate(
+        (np.nextafter(bounds, -np.inf), bounds, np.nextafter(bounds, np.inf))
+    )
+    outside = np.array([-1.0, -1e-300, -0.0, bounds[-1] * 2, np.inf, -np.inf])
+    return np.concatenate((inside, near, outside, [np.nan]))
+
+
+class TestRatesAtParity:
+    @pytest.mark.parametrize("name", sorted(_rate_traces()))
+    def test_every_probe_at_once(self, name):
+        trace = _rate_traces()[name]
+        t = _probe_times(trace)
+        assert _same_bits(trace.rates_at(t), _reference_rates_at(trace, t))
+
+    @pytest.mark.parametrize("name", sorted(_rate_traces()))
+    def test_within_one_segment(self, name):
+        # The one-segment path: every time in one segment, including a
+        # run that ends just below the next bound and one that starts
+        # exactly on a bound.
+        trace = _rate_traces()[name]
+        bounds = trace._bounds
+        for k in range(len(trace.segments)):
+            lo, hi = bounds[k], np.nextafter(bounds[k + 1], -np.inf)
+            for t in (
+                np.linspace(lo, hi, 1_001),
+                np.array([lo]),
+                np.array([hi, lo, (lo + hi) / 2]),
+                np.linspace(lo, hi, 12).reshape(3, 4),
+            ):
+                assert _same_bits(
+                    trace.rates_at(t), _reference_rates_at(trace, t)
+                )
+
+    @pytest.mark.parametrize("name", sorted(_rate_traces()))
+    def test_spanning_and_stray_times(self, name):
+        trace = _rate_traces()[name]
+        bounds = trace._bounds
+        for t in (
+            np.array([bounds[0], bounds[-1]]),
+            np.array([bounds[-1]]),
+            np.array([np.nextafter(bounds[-1], -np.inf), bounds[-1]]),
+            np.array([-0.0, 0.0]),
+            np.array([bounds[1] / 2, np.nan]),
+            np.array([np.nan]),
+            np.array([-1.0, bounds[1] / 2]),
+            np.empty(0),
+        ):
+            assert _same_bits(trace.rates_at(t), _reference_rates_at(trace, t))
+
+    def test_the_window_that_ends_on_the_spike(self):
+        traces = _rate_traces()
+        window = traces["window-before-spike"]
+        flash = traces["flash-12"]
+        # Local times whose absolute time rounds onto the spike bound
+        # fall in the spike's segment, exactly as per-element bucketing
+        # puts them.
+        local = _SHORT_S - np.arange(1, 50) * np.spacing(_SHORT_S)
+        absolute = local + (flash.segments[0].duration_s - _SHORT_S)
+        assert (absolute >= flash._bounds[1]).any()
+        assert (absolute < flash._bounds[1]).any()
+        assert _same_bits(
+            window.segments[0].rate_fn(local),
+            _reference_rates_at(flash, absolute),
+        )
+        arrivals_ = trace_arrivals(np.random.default_rng(3), window)
+        reference = _reference_trace_arrivals(np.random.default_rng(3), window)
+        assert _same_bits(arrivals_, reference)
+
+
 def _streams():
     """Arrival streams for the queue sims' sorted-stream step."""
     rng = np.random.default_rng(12)
@@ -994,3 +1135,25 @@ class TestDigestParity:
         assert d.count == 600
         assert d.sum == np.inf
         assert d.max == 1e308
+
+    @pytest.mark.parametrize(
+        "start", [EXACT_LIMIT - 3, EXACT_LIMIT, EXACT_LIMIT + 40]
+    )
+    def test_add_matches_a_one_value_batch(self, start):
+        # From just below, at and past the spill: the first adds of the
+        # lowest start still go through the exact regime and spill.
+        rng = np.random.default_rng(start)
+        one, batch = QuantileDigest(), QuantileDigest()
+        first = rng.lognormal(0.0, 2.0, size=start)
+        one.add_many(first)
+        batch.add_many(first)
+        edges = _edge_values()
+        values = np.concatenate(
+            (edges[:15], edges[15::97], rng.lognormal(-2.0, 3.0, size=200))
+        )
+        for value in values:
+            one.add(value)
+            batch.add_many([value])
+            assert json.dumps(one.to_dict()) == json.dumps(batch.to_dict())
+        assert not one.is_exact
+        assert one.count == start + values.size

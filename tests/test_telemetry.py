@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import deploy_model
 from repro.serving.arrivals import poisson_arrivals
@@ -60,6 +62,99 @@ class TestExactQuantile:
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="at least one value"):
             exact_quantile([], 50.0)
+
+    @pytest.mark.parametrize(
+        "q", [150.0, 100.5, -1.0, -1e-300, float("nan"), float("inf")]
+    )
+    def test_q_outside_the_range_names_q(self, q):
+        # Before, NumPy's "Percentiles must be in the range [0, 100]",
+        # which does not name the field.
+        with pytest.raises(ValueError, match="q must be in"):
+            exact_quantile([1.0, 2.0], q)
+        with pytest.raises(ValueError, match="q must be in"):
+            exact_quantile([1.0, 2.0], [50.0, q])
+
+    @pytest.mark.parametrize("q", [True, False, np.True_, [50.0, True]])
+    def test_bool_q_is_rejected(self, q):
+        # Before, q=True read as 1%: 1.01 for [1, 2].
+        with pytest.raises(ValueError, match="q must be in"):
+            exact_quantile([1.0, 2.0], q)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    @pytest.mark.parametrize("size", [1, 2, 1000])
+    def test_non_finite_values_are_rejected(self, bad, size):
+        # Before, a NaN returned NaN and an inf warned "invalid value
+        # encountered in subtract" (an error under -W error).
+        values = np.linspace(1.0, 2.0, size)
+        values[size // 2] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            exact_quantile(values, 50.0)
+        with pytest.raises(ValueError, match="values must be finite"):
+            exact_quantile(values, QS)
+
+    def test_the_ends_of_the_range(self):
+        values = [3.0, -1.0, 2.0]
+        assert exact_quantile(values, 0) == -1.0
+        assert exact_quantile(values, 100) == 3.0
+        assert exact_quantile([7.0], 37.5) == 7.0
+
+    def test_sequence_q_keeps_its_shape(self):
+        values = np.arange(10.0)
+        assert exact_quantile(values, []).shape == (0,)
+        out = exact_quantile(values, np.array([[0.0, 50.0], [90.0, 100.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 4.5], [8.1, 9.0]])
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+_VALUE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def _same_floats(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+class TestExactQuantileMatchesNumpy:
+    """Bit for bit against ``np.percentile`` (method ``linear``)."""
+
+    @given(
+        values=st.lists(st.one_of(_TIES, _VALUE), min_size=1, max_size=300),
+        q=st.floats(0.0, 100.0),
+        qs=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_property(self, values, q, qs):
+        arr = np.asarray(values, dtype=np.float64)
+        assert _same_floats(exact_quantile(arr, q), np.percentile(arr, q))
+        assert _same_floats(
+            exact_quantile(arr, qs), np.percentile(arr, np.asarray(qs))
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 512, 3_500, 6_000])
+    def test_signed_zeros_and_ties(self, n):
+        # Which zero NumPy reports depends on where its partition puts
+        # -0.0 and 0.0, so this pins the partition's order statistics.
+        rng = np.random.default_rng(n)
+        values = rng.choice([-0.0, 0.0, 0.0, -1.0, 1.0], size=n)
+        qs = np.concatenate(([0.0, 100.0], rng.uniform(0.0, 100.0, 40)))
+        assert _same_floats(exact_quantile(values, qs), np.percentile(values, qs))
+        for q in qs:
+            assert _same_floats(
+                exact_quantile(values, q), np.percentile(values, q)
+            )
+
+    def test_weights_of_one_half_and_above(self):
+        # gamma >= 0.5 interpolates down from the upper neighbour.
+        values = np.array([0.1, 0.7, 1.3, 1e-17, 3.3])
+        for q in (12.5, 37.5, 62.5, 87.5, 20.0, 95.0, 99.9):
+            assert _same_floats(
+                exact_quantile(values, q), np.percentile(values, q)
+            )
 
 
 # ---------------------------------------------------------------------------
