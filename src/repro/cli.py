@@ -174,8 +174,7 @@ def _serve_window(args: argparse.Namespace, surface, process: str, *salt):
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.harness import EXPERIMENTS
-    from repro.experiments.report import render_table
+    from repro.experiments.harness import EXPERIMENTS, render_one
 
     names = args.names or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -184,7 +183,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             f"unknown experiment(s) {unknown}; available: {sorted(EXPERIMENTS)}"
         )
     for name in names:
-        print(render_table(EXPERIMENTS[name]()))
+        print(render_one(EXPERIMENTS[name]()))
         print()
     return 0
 

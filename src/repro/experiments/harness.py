@@ -1,6 +1,9 @@
-"""Run every experiment and render the full paper-vs-measured report.
+"""The experiment registry behind ``repro experiments``.
 
-``python -m repro.experiments`` prints all regenerated tables/figures.
+Each entry regenerates one table or figure of the paper (or one
+extension) as an :class:`~repro.experiments.report.ExperimentResult`;
+:func:`render_one` renders it as the verb prints it.  Every experiment
+is deterministic, so the verb's output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
 }
 
 
-def run_all() -> dict[str, ExperimentResult]:
-    return {name: fn() for name, fn in EXPERIMENTS.items()}
-
-
 #: Figures that get an ASCII chart in addition to their data table:
 #: experiment -> (group_by, x_key, y_key, log_x, title).
 CHARTS = {
@@ -99,15 +98,3 @@ def render_one(result: ExperimentResult) -> str:
             text += "\n\n" + ascii_chart(series, title=title, log_x=log_x)
     return text
 
-
-def render_all(results: dict[str, ExperimentResult] | None = None) -> str:
-    results = results or run_all()
-    return "\n\n".join(render_one(r) for r in results.values())
-
-
-def main() -> None:
-    print(render_all())
-
-
-if __name__ == "__main__":
-    main()

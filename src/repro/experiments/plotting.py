@@ -1,7 +1,7 @@
 """ASCII plotting for figures (no plotting dependencies available).
 
 The paper's figures are line/bar charts; the harness renders their data
-as monospace charts so `python -m repro.experiments` shows the *shapes*
+as monospace charts so `repro experiments` shows the *shapes*
 (the flat-then-decay of Figure 7, the hockey-stick of the SLA sweep)
 directly in a terminal.
 """

@@ -2,10 +2,7 @@
 
 The analytical :class:`~repro.memory.timing.MemoryTimingModel` charges every
 random access one fixed initiation plus the AXI burst.  Real controllers
-add three effects the paper's measurements include and the closed form does
-not (our Table 3 latencies for the large model are ~2x below the paper's:
-1065/868 ns against 2260/1630 ns, which ``repro experiments table3
-queuing`` reproduces):
+add three effects the closed form leaves out:
 
 * **row-buffer locality** — an access hitting the currently open row skips
   activation (cheaper); a conflict pays precharge + activation (dearer);
@@ -18,7 +15,11 @@ queuing`` reproduces):
 controller model with per-channel bank state.  It is deliberately compact
 (bank-level open-page policy, FR-FCFS-free in-order service) — enough to
 quantify how far the idealised model is from a queued one, which is what
-the ``queuing ablation`` experiment reports.
+``repro experiments queuing`` reports.  On the production placements it
+is not far: the queued lookup latency lies within -2.3% to +1.8% of the
+idealised one.  So these effects do not explain why Table 3's large-model
+latencies sit ~2x below the paper's (1065/868 ns against 2260/1630 ns,
+without/with Cartesian products); that gap is still open.
 """
 
 from __future__ import annotations

@@ -184,6 +184,14 @@ class TestCli:
         assert main(["experiments", "table5"]) == 0
         out = capsys.readouterr().out
         assert "table5" in out
+        # Figures print their chart too, and a second run prints the
+        # same bytes.
+        outputs = []
+        for _ in range(2):
+            assert main(["experiments", "figure7", "table3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "Figure 7: relative throughput vs lookup rounds" in outputs[0]
 
     def test_experiments_unknown(self, capsys):
         assert main(["experiments", "table99"]) == 2

@@ -4,13 +4,13 @@ reproduces the paper's qualitative claims."""
 import pytest
 
 from repro.experiments import paper_data, table2, table4
-from repro.experiments.harness import EXPERIMENTS, render_all, run_all
+from repro.experiments.harness import CHARTS, EXPERIMENTS, render_one
 from repro.experiments.report import ExperimentResult, render_table
 
 
 @pytest.fixture(scope="module")
 def results():
-    return run_all()
+    return {name: run() for name, run in EXPERIMENTS.items()}
 
 
 class TestHarness:
@@ -47,9 +47,10 @@ class TestHarness:
             assert result.rows, name
 
     def test_render_all(self, results):
-        text = render_all(results)
-        for name in EXPERIMENTS:
-            assert name in text
+        for name, result in results.items():
+            assert name in render_one(result)
+        for name, (*_, title) in CHARTS.items():
+            assert title in render_one(results[name])
 
     def test_render_table_formats(self, results):
         text = render_table(results["table3"])
@@ -111,6 +112,9 @@ class TestTable3:
         assert row["latency_rel"] == pytest.approx(
             row["paper_latency_rel"], abs=0.13
         )
+        # Merging must cut latency by more than 15% (0.658 small, 0.815
+        # large); the band above alone allows 0.851 on the large model.
+        assert row["latency_rel"] < 0.85
 
 
 class TestTable4:
@@ -157,6 +161,13 @@ class TestTable5:
         worst = min(rows, key=lambda r: r["speedup"])
         assert (worst["tables"], worst["dim"]) == (12, 64)
 
+    def test_twelve_tables_take_two_rounds(self, results):
+        """One HBM round at 8 tables, two at 12 (the ratio reads 2.0)."""
+        by_key = {(r["tables"], r["dim"]): r for r in results["table5"].rows}
+        for dim in (4, 8, 16, 32, 64):
+            ratio = by_key[(12, dim)]["lookup_ns"] / by_key[(8, dim)]["lookup_ns"]
+            assert 1.8 < ratio < 2.2, dim
+
 
 class TestFigure7:
     def test_flat_then_decay(self, results):
@@ -166,7 +177,8 @@ class TestFigure7:
                 for r in results["figure7"].rows
                 if r["model"] == model
             }
-            assert series[2] == pytest.approx(1.0)
+            # Flat region: three rounds at no throughput loss at all.
+            assert series[2] == series[3] == 1.0
             assert series[10] < 0.85
             # Monotone non-increasing.
             vals = [series[r] for r in sorted(series)]
@@ -175,6 +187,12 @@ class TestFigure7:
     def test_tolerated_rounds_close_to_paper(self, results):
         for row in results["figure7"].rows:
             assert abs(row["tolerated_rounds"] - row["paper_tolerated"]) <= 2
+        tol = {
+            r["model"]: r["tolerated_rounds"] for r in results["figure7"].rows
+        }
+        # Reads 7 and 6; the band above alone lets the large model's
+        # paper 4 fall to 2.
+        assert tol["small"] >= 4 and tol["large"] >= 3
 
     def test_small_tolerates_more_than_large(self, results):
         tol = {
@@ -193,6 +211,12 @@ class TestTable6:
         for row in results["table6"].rows:
             assert row["freq_mhz"] == row["paper_freq"]
 
+    def test_bram_utilisation_high(self, results):
+        """High utilisation is the paper's reason for 120-140 MHz clocks
+        (0.774-0.847 here)."""
+        for row in results["table6"].rows:
+            assert row["bram_util"] > 0.7
+
 
 class TestCost:
     def test_fpga_cheaper_per_inference(self, results):
@@ -203,17 +227,44 @@ class TestCost:
                 assert row["cost_ratio_vs_cpu"] < 0.5
 
 
+class TestCompression:
+    @pytest.mark.parametrize("model", ["small", "large"])
+    def test_int8_tables_shrink_and_speed_up(self, results, model):
+        rows = {
+            (r["model"], r["tables"], r["cartesian"]): r
+            for r in results["compression"].rows
+        }
+        fp32 = rows[(model, "fp32", "without")]
+        int8 = rows[(model, "int8", "without")]
+        # Storage reads 0.304 (small) and 0.297 (large) of fp32.
+        assert int8["storage_gb"] < fp32["storage_gb"] / 2.5
+        assert int8["dram_rounds"] <= fp32["dram_rounds"]
+        assert int8["lookup_ns"] < fp32["lookup_ns"]
+        # Compression plus merging is never worse than compression alone.
+        both = rows[(model, "int8", "with")]
+        assert both["lookup_ns"] <= int8["lookup_ns"] + 1e-9
+
+
+class TestCacheStudy:
+    def test_hits_need_skew_and_capacity(self, results):
+        rows = {
+            (r["zipf_alpha"], r["cache_rows"]): r
+            for r in results["cache_study"].rows
+        }
+        # No skew, no benefit (reads 0.0021).
+        assert rows[(0.0, 256)]["hit_rate"] < 0.05
+        # Skew plus capacity: 0.916 of lookups hit, and the effective
+        # lookup costs 0.39 of the uncached one.
+        skewed = rows[(1.3, 4096)]
+        assert skewed["hit_rate"] > 0.6
+        assert skewed["effective_ns"] < skewed["uncached_ns"] * 0.7
+
+
 class TestTraceScale:
+    # Its wall-clock ceiling is benchmarks/test_trace_scale_ceiling.py.
     def test_replays_ten_million_arrivals(self, results):
         for row in results["trace_scale"].rows:
             assert row["queries"] >= 9_900_000
-
-    def test_completes_within_generous_ceiling(self, results):
-        # The precise gate lives in CI's perf-gate job (wall-clock
-        # budgets in BENCH_ci_baseline.json); this is a coarse backstop
-        # so a 100x regression fails even without the bench harness.
-        total = sum(r["wall_s"] for r in results["trace_scale"].rows)
-        assert total < 30.0
 
     def test_served_stages_meet_sanity_latency(self, results):
         rows = {r["stage"]: r for r in results["trace_scale"].rows}

@@ -13,6 +13,8 @@ from repro.core.planner import (
     plan_tables,
 )
 from repro.core.tables import TableSpec
+from repro.fpga.resources import CHANNEL_BRAM, U280_TOTALS
+from repro.memory.axi import AxiConfig
 from repro.memory.spec import u280_memory_system
 from repro.runtime import deploy_model
 from repro.memory.timing import MemoryTimingModel, default_timing_model
@@ -127,11 +129,18 @@ class TestPlanTables:
         assert plan.dram_access_rounds <= 1
 
     def test_quadratic_evaluation_count(self, memory, timing):
-        """The outer loop evaluates O(N) allocations (Algorithm 1)."""
-        n = 30
-        specs = [TableSpec(i, rows=100 + i, dim=4) for i in range(n)]
-        plan = plan_tables(specs, memory, timing)
-        assert plan.evaluated <= n + 1
+        """The outer loop evaluates O(N) allocations (Algorithm 1), on 30
+        tables and on 200 of mixed sizes and widths."""
+        for specs in (
+            [TableSpec(i, rows=100 + i, dim=4) for i in range(30)],
+            [
+                TableSpec(i, rows=100 + (i * 37) % 5000, dim=4 if i % 3 else 16)
+                for i in range(200)
+            ],
+        ):
+            plan = plan_tables(specs, memory, timing)
+            assert plan.evaluated <= len(specs) + 1
+            plan.placement.validate()
 
 
 class TestProductionModelStories:
@@ -190,6 +199,41 @@ class TestProductionModelStories:
         """Paper: lookups cost less than 1 us on the small model."""
         plan = plan_tables(production_small().tables, memory, timing)
         assert plan.lookup_latency_ns < 1000.0
+
+    def test_onchip_banks_ablation(self):
+        """Rule 4 ablation on the small model: its merged tables fit one
+        DRAM round only with the eight on-chip banks. Unmerged, it takes
+        two rounds with or without them."""
+        rounds = {}
+        for banks in (0, 8):
+            memory = u280_memory_system(onchip_banks=banks)
+            timing = default_timing_model(memory.axi)
+            for merging in (False, True):
+                config = PlannerConfig(enable_cartesian=merging)
+                plan = plan_tables(
+                    production_small().tables, memory, timing, config
+                )
+                rounds[banks, merging] = plan.dram_access_rounds
+        assert rounds == {
+            (0, False): 2, (8, False): 2, (0, True): 2, (8, True): 1
+        }
+
+    def test_wide_axi_trades_latency_for_bram(self):
+        """Appendix ablation: a 512-bit AXI bus streams vectors faster
+        (324 against 439 ns on the small model), but its FIFOs, which
+        grow with the bus width, would need 3.2x the U280's BRAM across
+        the 34 DRAM channels, where the 32-bit bus needs 0.20 of it."""
+        latency, bram_share = {}, {}
+        for width in (32, 512):
+            memory = u280_memory_system(axi=AxiConfig(data_width_bits=width))
+            timing = default_timing_model(memory.axi)
+            plan = plan_tables(production_small().tables, memory, timing)
+            latency[width] = plan.lookup_latency_ns
+            fifo_bram = CHANNEL_BRAM * (width // 32) * memory.num_dram_channels
+            bram_share[width] = fifo_bram / U280_TOTALS["bram"]
+        assert latency[512] < latency[32]
+        assert bram_share[512] > 0.5
+        assert bram_share[32] < 0.25
 
 
 def placement_hash(plan) -> str:
