@@ -174,6 +174,28 @@ class ClusterServingResult(ServingResult):
         }
 
 
+def _order_ties_by_replica(
+    arrivals: np.ndarray, completions: np.ndarray, assignments: np.ndarray
+) -> None:
+    """Order equal timestamps by replica index, in place.
+
+    The blended stream lists equal timestamps replica by replica, each
+    replica's in its own order: the stable sort of the replicas'
+    concatenated results.  A stream in arrival order already agrees
+    except where equal timestamps went to a later replica first; only
+    those runs of equal timestamps are re-sorted.
+    """
+    tied = arrivals[1:] == arrivals[:-1]
+    swapped = tied & (assignments[1:] < assignments[:-1])
+    if not swapped.any():
+        return
+    run = np.concatenate(([0], np.cumsum(~tied)))
+    where = np.flatnonzero(np.isin(run, run[1:][swapped]))
+    order = where[np.lexsort((assignments[where], run[where]))]
+    for values in (arrivals, completions, assignments):
+        values[where] = values[order]
+
+
 def _cluster_name(replicas: Sequence[Session]) -> str:
     """A stable display name: ``cluster(fpga+gpu+cpux2)``."""
     counts: dict[str, int] = {}
@@ -411,26 +433,28 @@ class Cluster(ServingSurface):
                 f"router {self.router.name!r} produced replica indices "
                 f"outside [0, {len(views)})"
             )
-        blended_arrivals: list[np.ndarray] = []
-        blended_completions: list[np.ndarray] = []
-        blended_assignments: list[np.ndarray] = []
+        # Each replica serves its sub-stream, already sorted, and its
+        # results go back to the positions it was routed from.  A
+        # replica returns its sub-stream's arrivals bit for bit unless
+        # sorting reordered signed zeros; those are written back too.
+        completions = np.empty_like(arrivals)
         for j, replica_index in enumerate(indices):
-            mask = local == j
-            if not mask.any():
+            routed = np.flatnonzero(local == j)
+            if not routed.size:
                 continue
-            sub = arrivals[mask]
+            sub = arrivals[routed]
             result = self.replicas[replica_index].serve(sub)
-            blended_arrivals.append(result.arrivals_ns)
-            blended_completions.append(result.completions_ns)
-            blended_assignments.append(
-                np.full(sub.size, replica_index, dtype=np.int64)
-            )
-        merged_arrivals = np.concatenate(blended_arrivals)
-        order = np.argsort(merged_arrivals, kind="stable")
+            if not np.array_equal(
+                result.arrivals_ns.view(np.int64), sub.view(np.int64)
+            ):
+                arrivals[routed] = result.arrivals_ns
+            completions[routed] = result.completions_ns
+        assignments = np.asarray(indices, dtype=np.int64)[local]
+        _order_ties_by_replica(arrivals, completions, assignments)
         return ClusterServingResult(
-            arrivals_ns=merged_arrivals[order],
-            completions_ns=np.concatenate(blended_completions)[order],
-            assignments=np.concatenate(blended_assignments)[order],
+            arrivals_ns=arrivals,
+            completions_ns=completions,
+            assignments=assignments,
             replica_backends=tuple(
                 session.backend for session in self.replicas
             ),

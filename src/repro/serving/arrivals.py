@@ -45,14 +45,21 @@ _THIN_CHUNK = 1 << 16
 
 
 def check_positive(name: str, value: float) -> None:
-    """Reject ``value`` unless it is a positive, finite number."""
-    if not (math.isfinite(value) and value > 0):
+    """Reject ``value`` unless it is a positive, finite number.
+
+    A bool is not a number here: ``True`` would pass as 1.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (
+        math.isfinite(value) and value > 0
+    ):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def check_non_negative(name: str, value: float) -> None:
-    """Reject ``value`` unless it is a finite number ``>= 0``."""
-    if not (math.isfinite(value) and value >= 0):
+    """Reject ``value`` unless it is a finite number ``>= 0`` (not a bool)."""
+    if isinstance(value, (bool, np.bool_)) or not (
+        math.isfinite(value) and value >= 0
+    ):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 

@@ -214,7 +214,7 @@ class TestRoutingPolicies:
 
     def test_sla_aware_rejects_bad_slo(self, sessions):
         views = _views(sessions, TIERS)
-        for slo_ms in (0.0, float("nan"), float("inf")):
+        for slo_ms in (0.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match="slo_ms"):
                 get_policy("sla-aware").route(
                     arrivals_at(1000, 0.01), views, slo_ms=slo_ms
@@ -231,14 +231,30 @@ class TestRoutingPolicies:
     def test_replica_view_rejects_bad_figures(self, sessions):
         view = _views(sessions, ["fpga"])[0]
         bad_values = {
-            "ii_ns": (0.0, -1.0, float("nan"), float("inf")),
-            "latency_ms": (-1.0, float("nan"), float("inf")),
-            "serving_latency_ms": (-1.0, float("nan"), float("inf")),
+            "ii_ns": (0.0, -1.0, float("nan"), float("inf"), True),
+            "latency_ms": (-1.0, float("nan"), float("inf"), True),
+            "serving_latency_ms": (-1.0, float("nan"), float("inf"), False),
         }
         for field, values in bad_values.items():
             for value in values:
                 with pytest.raises(ValueError, match=field):
                     dataclasses.replace(view, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["usd_per_hour", "usd_per_million_queries"]
+    )
+    def test_replica_view_rejects_bad_price(self, sessions, field):
+        # cheapest-first sorts replicas by price: a NaN would scramble it.
+        view = _views(sessions, ["fpga"])[0]
+        for value in (-1.0, float("nan"), float("inf"), -float("inf"), True):
+            with pytest.raises(ValueError, match=field):
+                dataclasses.replace(view, **{field: value})
+
+    def test_cheapest_first_rejects_bad_backlog(self):
+        policy = get_policy("cheapest-first")
+        for value in (0.0, -1.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="max_backlog_ms"):
+                type(policy)(max_backlog_ms=value)
 
 
 class TestClusterServingResult:
@@ -432,7 +448,7 @@ class TestDeployCluster:
             raise AssertionError("a session was built")
 
         monkeypatch.setattr(repro.cluster.api, "deploy_model", no_build)
-        for slo_ms in (0.0, -1.0, float("nan"), float("inf")):
+        for slo_ms in (0.0, -1.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match="slo_ms"):
                 deploy_cluster(
                     [ReplicaSpec("small", "cpu")],

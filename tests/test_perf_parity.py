@@ -370,12 +370,30 @@ def _diurnal_overload(seed=3):
     return trace_arrivals(np.random.default_rng(seed), trace)
 
 
+def _primary_admissions(arrivals, replicas, slo_ms, decisions):
+    """How many arrivals the primary admitted because it met the SLO
+    (not as the best of the fallback), replaying ``decisions``."""
+    order = sorted(
+        range(len(replicas)),
+        key=lambda i: (replicas[i].serving_latency_ms, i),
+    )
+    primary = order[0]
+    service_ns = replicas[primary].serving_latency_ms * 1e6
+    free = [0.0] * len(replicas)
+    admitted = 0
+    for t, chosen in zip(arrivals.tolist(), decisions.tolist()):
+        if max(free[primary], t) - t + service_ns <= slo_ms * 1e6:
+            admitted += 1
+        free[chosen] = max(free[chosen], t) + replicas[chosen].ii_ns
+    return admitted
+
+
 class TestSlaAwareBulkParity:
-    """Streams that drive the bulk-committed fallback runs."""
+    """Streams that drive the bulk-committed runs."""
 
     @pytest.fixture
     def commits(self, monkeypatch):
-        """Sizes of the bulk commits made while the test runs."""
+        """Sizes of the fallback-run commits made while the test runs."""
         sizes = []
         helper = routing._commit_fallback_run
 
@@ -386,6 +404,21 @@ class TestSlaAwareBulkParity:
 
         monkeypatch.setattr(routing, "_commit_fallback_run", counting)
         return sizes
+
+    @pytest.fixture
+    def cascades(self, monkeypatch):
+        """(tiers held at the SLO, tier positions) of each cascade-run
+        commit made while the test runs."""
+        made = []
+        helper = routing._commit_cascade_run
+
+        def counting(arrivals, free, *args):
+            chosen, after = helper(arrivals, free, *args)
+            made.append((len(free) - 1, chosen))
+            return chosen, after
+
+        monkeypatch.setattr(routing, "_commit_cascade_run", counting)
+        return made
 
     def _assert_matches(self, arrivals, replicas, slo_ms):
         got = SlaAwarePolicy().route(arrivals, replicas, slo_ms=slo_ms)
@@ -457,6 +490,101 @@ class TestSlaAwareBulkParity:
         arrivals = _overloaded(1.5, 100_000)
         self._assert_matches(arrivals, BACKLOGGED_TIERS, 0.2)
         assert sum(commits) >= 0.9 * arrivals.size
+
+    @pytest.mark.parametrize("load", [0.5, 0.7, 0.9])
+    def test_light_load_in_short_busy_periods(self, cascades, load):
+        # Poisson arrivals under the primary's own capacity: it takes
+        # them all, in many short busy periods and idle gaps.
+        gaps = np.random.default_rng(13).exponential(300.0 / load, 50_000)
+        arrivals = np.cumsum(gaps)
+        got = self._assert_matches(arrivals, BACKLOGGED_TIERS, 0.2)
+        assert (got == 0).all()
+        assert sum(chosen.size for _, chosen in cascades) >= 0.95 * got.size
+
+    def test_a_busy_period_across_two_to_the_31(self, cascades):
+        # A burst at three times the primary's rate, 60 us before 2**31
+        # ns: the busy period's free times cross a power of two, where
+        # adding ``ii`` stops adding one fixed quantum.
+        replicas = [
+            _replica(0, "fast", 0.01, 333.3, 1.0, 1.0),
+            *BACKLOGGED_TIERS[1:],
+        ]
+        burst = 2.0**31 - 60_000.0 + np.arange(600) * 100.0
+        tail = burst[-1] + np.cumsum(
+            np.random.default_rng(14).exponential(500.0, 5_000)
+        )
+        arrivals = np.concatenate((burst, tail))
+        got = self._assert_matches(arrivals, replicas, 0.2)
+        assert (got == 0).all()
+        assert sum(chosen.size for _, chosen in cascades) >= 0.95 * got.size
+        # The block commits through the crossing, at the scan's own
+        # free time.
+        free = 0.0
+        for t in burst.tolist():
+            free = max(free, t) + 333.3
+        chosen, after = routing._commit_cascade_run(
+            burst, [0.0], [333.3], [1e4], 2e5
+        )
+        assert chosen.size == burst.size
+        assert after == [free]
+
+    def test_arrivals_on_the_free_time(self, cascades):
+        # Whole-ns spacings on a 100 ns grid: arrivals land exactly on
+        # the primary's free time, where the scan keeps ``free``.
+        replicas = [
+            _replica(0, "a", 0.01, 300.0, 1.0, 1.0),
+            _replica(1, "b", 0.05, 500.0, 1.0, 1.0),
+        ]
+        steps = np.random.default_rng(15).integers(1, 6, 30_000)
+        arrivals = np.cumsum(steps * 100.0)
+        for slo_ms in (0.02, 0.2):
+            self._assert_matches(arrivals, replicas, slo_ms)
+        assert sum(chosen.size for _, chosen in cascades) > 0
+
+    def test_primary_predictions_exactly_at_the_slo(self, cascades):
+        # The primary's backlog is a multiple of 100 ns and its headroom
+        # (SLO less service) is 10 us, so at 1.1x its capacity its
+        # predictions land exactly on the SLO, where ``<=`` admits.
+        replicas = [
+            _replica(0, "a", 0.05, 400.0, 1.0, 1.0),
+            _replica(1, "b", 0.055, 300.0, 1.0, 1.0),
+        ]
+        gaps = np.random.default_rng(16).exponential(400.0 / 1.1, 30_000)
+        arrivals = np.cumsum(np.round(gaps / 100) * 100)
+        self._assert_matches(arrivals, replicas, 0.06)
+        assert sum(chosen.size for _, chosen in cascades) > 0
+
+    def test_a_fleet_deeper_than_a_byte(self, cascades):
+        # 300 equal replicas, each holding one or two queries at the
+        # SLO, past their capacity: a cascade try with 256 or more tiers
+        # held at the SLO.
+        replicas = [
+            _replica(i, "cpu", 0.01, 10_000.0, 1.0, 1.0) for i in range(300)
+        ]
+        arrivals = np.cumsum(
+            np.random.default_rng(17).exponential(10.0, 1_500)
+        )
+        self._assert_matches(arrivals, replicas, 0.019)
+        assert max(depth for depth, _ in cascades) >= 256
+
+    def test_spills_from_tiers_held_at_the_slo(self, cascades):
+        # The diurnal ramp saturates the fast tier, then the mid one,
+        # before no tier holds the SLO: blocks with one and with two
+        # tiers held at the SLO.
+        self._assert_matches(_diurnal_overload(), BACKLOGGED_TIERS, 0.2)
+        held = {depth for depth, chosen in cascades if chosen.size}
+        assert held == {0, 1, 2}
+
+    def test_diurnal_primary_admissions_are_committed_in_bulk(
+        self, cascades
+    ):
+        arrivals = _diurnal_overload()
+        got = self._assert_matches(arrivals, BACKLOGGED_TIERS, 0.2)
+        admitted = _primary_admissions(arrivals, BACKLOGGED_TIERS, 0.2, got)
+        in_bulk = sum(
+            int(np.count_nonzero(chosen == 0)) for _, chosen in cascades
+        )
+        assert in_bulk >= 0.8 * admitted
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +1060,42 @@ def _streams():
         "length-1": np.array([3.5]),
         "probe": np.zeros(1),
         "strided": ordered[::2],
+        # Four arrivals per timestamp past the fpga's capacity: the
+        # sla-aware cluster's fallback alternates between its replicas
+        # within one timestamp, so the cpu often takes a tie first.
+        "tied-across-replicas": np.repeat(
+            np.cumsum(rng.exponential(4_000.0, size=6_000)), 4
+        ),
     }
+
+
+def _reference_cluster_merge(cluster, arrivals_ns):
+    """A cluster's blended result, merged as the stable sort of the
+    replicas' concatenated results (restated from the original
+    ``Cluster._serve``)."""
+    arrivals = sorted_arrivals(arrivals_ns)
+    local = cluster.router.route(
+        arrivals, cluster._views(range(len(cluster))), slo_ms=cluster.slo_ms
+    )
+    blended_arrivals, blended_completions, blended_assignments = [], [], []
+    for j, replica in enumerate(cluster.replicas):
+        mask = local == j
+        if not mask.any():
+            continue
+        result = replica.serve(arrivals[mask])
+        blended_arrivals.append(result.arrivals_ns)
+        blended_completions.append(result.completions_ns)
+        blended_assignments.append(
+            np.full(result.count, j, dtype=np.int64)
+        )
+    merged = np.concatenate(blended_arrivals)
+    order = np.argsort(merged, kind="stable")
+    return cluster_module.ClusterServingResult(
+        arrivals_ns=merged[order],
+        completions_ns=np.concatenate(blended_completions)[order],
+        assignments=np.concatenate(blended_assignments)[order],
+        replica_backends=tuple(s.backend for s in cluster.replicas),
+    )
 
 
 class TestQueueSimParity:
@@ -1014,6 +1177,27 @@ class TestQueueSimParity:
         assert _same_bits(fast.arrivals_ns, ref.arrivals_ns)
         assert _same_bits(fast.completions_ns, ref.completions_ns)
         assert np.array_equal(fast.assignments, ref.assignments)
+
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    def test_cluster_merge_matches_reference(self, cluster, name):
+        stream = _streams()[name]
+        got = cluster.serve(stream, telemetry=False)
+        ref = _reference_cluster_merge(cluster, stream)
+        assert _same_bits(got.arrivals_ns, ref.arrivals_ns)
+        assert _same_bits(got.completions_ns, ref.completions_ns)
+        assert np.array_equal(got.assignments, ref.assignments)
+        assert got.assignments.dtype == ref.assignments.dtype
+
+    def test_ties_reach_different_replicas(self, cluster):
+        # The stream that makes the merge reorder equal timestamps.
+        stream = _streams()["tied-across-replicas"]
+        local = cluster.router.route(
+            sorted_arrivals(stream),
+            cluster._views(range(len(cluster))),
+            slo_ms=cluster.slo_ms,
+        )
+        tied = stream[1:] == stream[:-1]
+        assert (tied & (local[1:] < local[:-1])).sum() > 100
 
     @pytest.fixture(scope="class")
     def sharded(self):

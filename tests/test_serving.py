@@ -8,6 +8,8 @@ from repro.serving.arrivals import (
     RateTrace,
     arrivals_for,
     bursty_trace,
+    check_non_negative,
+    check_positive,
     diurnal_trace,
     flash_crowd_trace,
     poisson_arrivals,
@@ -86,6 +88,13 @@ class TestArrivals:
             poisson_arrivals(rng, 0, 1.0)
         with pytest.raises(ValueError):
             uniform_arrivals(10, 0)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bools_are_not_numbers(self, value):
+        with pytest.raises(ValueError, match="rate_per_s must be"):
+            check_positive("rate_per_s", value)
+        with pytest.raises(ValueError, match="backlog_ms must be"):
+            check_non_negative("backlog_ms", value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rate_and_duration_rejected(self, value):
